@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .quaternion import Sphere
+from .quaternion import Sphere, slice_embed
 from .qmatrix import QMatrix, chi, op_norm
 from .spectrum import spherical_spectrum, delta, SpectrumProximityError
 from .scalculus import riesz_decompose, SeparationError, PartitionError
@@ -44,11 +44,11 @@ def _limit_threads() -> None:
         raise CliInputError("QUATCALC_THREADS must be an integer")
     try:
         import threadpoolctl
-        threadpoolctl.threadpool_limits(limits=n)
     except ImportError:
-        # BLAS pools are configured through env vars at import time; the
-        # cap is best-effort without threadpoolctl
-        pass
+        print("warning: QUATCALC_THREADS is set but threadpoolctl is not "
+              "installed; the thread cap was not applied", file=sys.stderr)
+        return
+    threadpoolctl.threadpool_limits(limits=n)
 
 
 def _load_matrix(path: str) -> QMatrix:
@@ -122,17 +122,12 @@ def cmd_spectrum(args) -> int:
     entries = []
     for s, mult in zip(spec.spheres, spec.multiplicities):
         rep = s.to_json()
-        q = delta(T, _sphere_rep(s))
+        q = delta(T, slice_embed(s))
         sv = np.linalg.svd(chi(q), compute_uv=False)
         entries.append({"re": rep["re"], "rad": rep["rad"], "mult": mult,
                         "delta_min_sv": float(sv[-1])})
     _dump({"spheres": entries, "size": T.rows}, args.output)
     return EXIT_OK
-
-
-def _sphere_rep(s: Sphere):
-    from .quaternion import Quaternion
-    return Quaternion(s.re, s.rad, 0.0, 0.0)
 
 
 def cmd_riesz(args) -> int:
@@ -228,6 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--output", help="write the report here "
                                          "(default: stdout)")
+
+    def tolerance_flags(sp):
         for name, val in default_tolerances().items():
             sp.add_argument(f"--tol-{name}", type=float, default=None,
                             dest="tol_" + name.replace("-", "_"),
@@ -246,6 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--nodes", type=int, default=128,
                     help="quadrature nodes per circle (default 128)")
     common(sp)
+    tolerance_flags(sp)
     sp.set_defaults(func=cmd_riesz)
 
     sp = sub.add_parser("examples", help="reproduce the worked examples")
@@ -265,11 +263,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--suites", default=None,
                     help=f"comma-separated subset of {','.join(SUITES)}")
     common(sp)
+    tolerance_flags(sp)
     sp.set_defaults(func=cmd_verify)
     return p
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a value starting with "-" (a negative real part) as an
+    # option, so bind "--partition -1,0.5" as "--partition=-1,0.5"
+    if "--partition" in argv[:-1]:
+        k = argv.index("--partition")
+        argv[k:k + 2] = [f"--partition={argv[k + 1]}"]
     args = build_parser().parse_args(argv)
     try:
         _limit_threads()

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quaternion import Quaternion, qmul
+from .quaternion import Quaternion
 from .qmatrix import QMatrix, op_norm
 
 __all__ = [

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quaternion import Quaternion, Sphere
+from .quaternion import Quaternion, Sphere, cluster_spheres
 from .qmatrix import QMatrix, chi, chi_inv, op_norm, normal_eigensystem
 from .spectrum import spherical_spectrum, SphericalSpectrum
 from .scalculus import riesz_decompose
@@ -157,19 +157,6 @@ class StrongIrreducibilityReport:
         return self.verdict == "irreducible"
 
 
-def _group_spheres(spheres, tol: float) -> list[list[Sphere]]:
-    """Greedy single-linkage clustering of spheres in the (re, rad) plane."""
-    groups: list[list[Sphere]] = []
-    for s in sorted(spheres):
-        for g in groups:
-            if any(s.distance(t) <= tol for t in g):
-                g.append(s)
-                break
-        else:
-            groups.append([s])
-    return groups
-
-
 def _eigensphere_kernel_dim(T: QMatrix, sphere: Sphere,
                             cut: float) -> tuple[int, float, float]:
     """Kernel dimension of chi(T) - lambda at the upper slice representative.
@@ -207,7 +194,7 @@ def is_strongly_irreducible(T: QMatrix,
     # at roughly eps^(1/k) for a size-k Jordan block; group spectrum spheres
     # at that resolution so jitter is not mistaken for distinct spheres.
     cluster_tol = scale * float(np.finfo(float).eps) ** (1.0 / (T.rows + 1))
-    groups = _group_spheres(spec.spheres, cluster_tol)
+    groups = cluster_spheres(spec.spheres, cluster_tol)
 
     if len(groups) >= 2:
         # witness: Riesz projection of a proper spectral part

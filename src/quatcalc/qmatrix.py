@@ -1,31 +1,27 @@
 """Quaternionic matrices acting on right-module column vectors.
 
 A ``QMatrix`` stores an (n, m, 4) float array of quaternion entries.  All
-eigen/SVD work is routed through the complex adjoint representation
+matrix algebra goes through the complex pair T = A + B*j (A, B complex in
+the slice C_i) and its complex adjoint representation
 
-    chi(T) = [[A, B], [-conj(B), conj(A)]],   T = A + B*j,
+    chi(T) = [[A, B], [-conj(B), conj(A)]],
 
 a real-algebra *-isomorphism onto the 2n x 2m complex matrices satisfying
-J0 M = conj(M) J0 with J0 = [[0, I], [-I, 0]].  Vectors v = a + b*j embed
-as psi(v) = [a; -conj(b)], so chi(T) psi(v) = psi(T v) and psi is isometric.
+J0 M = conj(M) J0 with J0 = [[0, I], [-I, 0]].  Products use the pair rule
+(A1 + B1 j)(A2 + B2 j) = (A1 A2 - B1 conj(B2)) + (A1 B2 + B1 conj(A2)) j,
+i.e. four complex GEMMs; eigen/SVD work is a LAPACK call on chi(T).
+Vectors v = a + b*j embed as psi(v) = [a; -conj(b)], so
+chi(T) psi(v) = psi(T v) and psi is isometric.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .quaternion import (
-    ImaginaryUnit,
-    Quaternion,
-    UNIT_I,
-    UNIT_J,
-    qconj,
-    qmul,
-)
+from .quaternion import ImaginaryUnit, Quaternion, UNIT_I, qconj, qmul
 
 __all__ = [
     "QMatrix",
@@ -43,6 +39,7 @@ __all__ = [
     "restrict",
     "plus_eigenbasis",
     "normal_eigensystem",
+    "gram_schmidt",
 ]
 
 
@@ -122,10 +119,6 @@ class QMatrix:
         r, c = rc
         return Quaternion.from_array(self.entries[r, c])
 
-    def column(self, c: int) -> np.ndarray:
-        """Column as an (n, 4) quaternion-component array."""
-        return self.entries[:, c, :].copy()
-
     # -- algebra -------------------------------------------------------------
 
     def __add__(self, other: "QMatrix") -> "QMatrix":
@@ -145,11 +138,10 @@ class QMatrix:
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in quaternion matmul")
-        # contract over the shared index with the Hamilton product
-        p = self.entries[:, :, None, :]      # (r, k, 1, 4)
-        q = other.entries[None, :, :, :]     # (1, k, c, 4)
-        prod = qmul(p, q)                    # (r, k, c, 4)
-        return QMatrix(prod.sum(axis=1))
+        A1, B1 = _pair(self.entries)
+        A2, B2 = _pair(other.entries)
+        return QMatrix(_unpair(A1 @ A2 - B1 @ B2.conj(),
+                               A1 @ B2 + B1 @ A2.conj()))
 
     def adjoint(self) -> "QMatrix":
         return QMatrix(np.transpose(qconj(self.entries), (1, 0, 2)))
@@ -164,12 +156,7 @@ class QMatrix:
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Left action on an (n, 4) quaternionic column vector."""
-        vec = np.asarray(vec, dtype=float)
-        prod = qmul(self.entries, vec[None, :, :])
-        return prod.sum(axis=1)
-
-    def frobenius(self) -> float:
-        return float(np.sqrt(np.sum(self.entries ** 2)))
+        return chi_vec_inv(chi(self) @ chi_vec(vec))
 
     def is_close(self, other: "QMatrix", tol: float = 1e-12) -> bool:
         return op_norm(self - other) <= tol
@@ -208,12 +195,26 @@ def _as_quat(v) -> Quaternion:
 # complex adjoint representation
 # ---------------------------------------------------------------------------
 
+def _pair(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Quaternion components (..., 4) -> complex pair (A, B), q = A + B*j."""
+    return e[..., 0] + 1j * e[..., 1], e[..., 2] + 1j * e[..., 3]
+
+
+def _unpair(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Inverse of ``_pair``: complex (A, B) -> components (..., 4)."""
+    e = np.empty((*A.shape, 4))
+    e[..., 0], e[..., 1] = A.real, A.imag
+    e[..., 2], e[..., 3] = B.real, B.imag
+    return e
+
+
 def chi(T: QMatrix) -> np.ndarray:
     """Complex 2n x 2m adjoint representation of T."""
-    e = T.entries
-    A = e[..., 0] + 1j * e[..., 1]
-    B = e[..., 2] + 1j * e[..., 3]
-    return np.block([[A, B], [-B.conj(), A.conj()]])
+    A, B = _pair(T.entries)
+    # concatenate, not np.block: np.block's Python overhead dominates the
+    # 2 x 2 chi(q) taken twice per quadrature node
+    return np.concatenate([np.concatenate([A, B], axis=1),
+                           np.concatenate([-B.conj(), A.conj()], axis=1)])
 
 
 def _chi_defect(M: np.ndarray) -> float:
@@ -241,10 +242,7 @@ def chi_inv(M: np.ndarray, tol: float = 1e-12) -> QMatrix:
                          f"(defect {_chi_defect(M):.3e}, scale {scale:.3e})")
     A = 0.5 * (M[:n, :m] + M[n:, m:].conj())
     B = 0.5 * (M[:n, m:] - M[n:, :m].conj())
-    e = np.empty((n, m, 4))
-    e[..., 0], e[..., 1] = A.real, A.imag
-    e[..., 2], e[..., 3] = B.real, B.imag
-    return QMatrix(e)
+    return QMatrix(_unpair(A, B))
 
 
 def _chi_symmetrize(M: np.ndarray) -> np.ndarray:
@@ -260,22 +258,15 @@ def _chi_symmetrize(M: np.ndarray) -> np.ndarray:
 
 def chi_vec(v: np.ndarray) -> np.ndarray:
     """psi: (n, 4) quaternionic vector -> 2n complex vector [a; -conj(b)]."""
-    v = np.asarray(v, dtype=float)
-    a = v[:, 0] + 1j * v[:, 1]
-    b = v[:, 2] + 1j * v[:, 3]
+    a, b = _pair(np.asarray(v, dtype=float))
     return np.concatenate([a, -b.conj()])
 
 
 def chi_vec_inv(z: np.ndarray) -> np.ndarray:
-    """Inverse of ``chi_vec``."""
+    """Inverse of ``chi_vec``; a (2n, k) array maps columnwise to (n, k, 4)."""
     z = np.asarray(z, dtype=complex)
     n = z.shape[0] // 2
-    a = z[:n]
-    b = -z[n:].conj()
-    out = np.empty((n, 4))
-    out[:, 0], out[:, 1] = a.real, a.imag
-    out[:, 2], out[:, 3] = b.real, b.imag
-    return out
+    return _unpair(z[:n], -z[n:].conj())
 
 
 # ---------------------------------------------------------------------------
@@ -339,20 +330,41 @@ def polar(T: QMatrix, rank_tol: float = 1e-10) -> tuple[QMatrix, QMatrix]:
 # normal eigensystem (quaternionic spectral decomposition)
 # ---------------------------------------------------------------------------
 
-def _quat_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """<u, v> = sum conj(u_r) v_r for (n, 4) vectors; returns a 4-array."""
-    return qmul(qconj(u), v).sum(axis=0)
+def _right_j(z: np.ndarray) -> np.ndarray:
+    """psi(v) -> psi(v*j), columnwise: [a; -conj(b)] -> [-b; -conj(a)]."""
+    n = z.shape[0] // 2
+    return np.concatenate([z[n:].conj(), -z[:n].conj()])
 
 
-def _vec_norm(u: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(u * u)))
+def gram_schmidt(Z: np.ndarray, k: int, tol: float) -> tuple[list[int], QMatrix]:
+    """Quaternionic Gram-Schmidt over the psi images in the columns of Z.
 
-
-def _right_scale(u: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return qmul(u, q)
-
-
-_J_ARR = np.array([0.0, 0.0, 1.0, 0.0])
+    Columns are visited in order; each is orthogonalized against the
+    quaternionic span of the accepted vectors v (the complex span of psi(v)
+    and psi(v*j)) and accepted when its residual norm exceeds ``tol``, until
+    k are accepted.  Returns the accepted column indices and the QMatrix
+    whose k columns are the orthonormal quaternionic vectors.
+    """
+    n = Z.shape[0] // 2
+    V = np.empty((2 * n, 2 * k), dtype=complex)
+    kept: list[int] = []
+    for idx in range(Z.shape[1]):
+        if len(kept) == k:
+            break
+        Vk = V[:, :2 * len(kept)]
+        u = Z[:, idx]
+        for _ in range(2):  # re-orthogonalize once: "twice is enough"
+            u = u - Vk @ (Vk.conj().T @ u)
+        nu = np.linalg.norm(u)
+        if nu > tol:
+            u = u / nu
+            V[:, 2 * len(kept)] = u
+            V[:, 2 * len(kept) + 1] = _right_j(u)
+            kept.append(idx)
+    if len(kept) < k:
+        raise RuntimeError(f"found {len(kept)} of {k} quaternionic "
+                           "orthonormal vectors")
+    return kept, QMatrix(chi_vec_inv(V[:, 0::2]))
 
 
 def normal_eigensystem(T: QMatrix, tol: float = 1e-9) -> tuple[np.ndarray, QMatrix]:
@@ -371,31 +383,15 @@ def normal_eigensystem(T: QMatrix, tol: float = 1e-9) -> tuple[np.ndarray, QMatr
     if defect > tol * scale ** 2 * 10:
         raise ValueError(f"matrix is not normal (defect {defect:.3e})")
     Tsch, Q = scipy.linalg.schur(N, output="complex")
-    lam_all = np.diag(Tsch)
-    cols: list[np.ndarray] = []
-    vals: list[complex] = []
-    order = np.lexsort((np.abs(lam_all.imag), lam_all.real))
-    for idx in order:
-        if len(cols) == n:
-            break
-        lam = lam_all[idx]
-        u = chi_vec_inv(Q[:, idx])
-        if lam.imag < 0:
-            # canonicalize to the upper half plane: u*j is an eigenvector
-            # for conj(lam)
-            u = _right_scale(u, _J_ARR)
-            lam = lam.conjugate()
-        # quaternionic Gram-Schmidt against accepted vectors
-        for v in cols:
-            u = u - _right_scale(v, _quat_dot(v, u))
-        nu = _vec_norm(u)
-        if nu > 0.1:
-            cols.append(u / nu)
-            vals.append(complex(lam))
-    if len(cols) < n:
-        raise RuntimeError("failed to assemble a quaternionic eigenbasis")
-    U = QMatrix(np.stack(cols, axis=1))
-    return np.array(vals, dtype=complex), U
+    lam = np.diag(Tsch)
+    order = np.lexsort((np.abs(lam.imag), lam.real))
+    lam, Z = lam[order], Q[:, order]
+    # canonicalize to the upper half plane: u*j is an eigenvector for conj(lam)
+    low = lam.imag < 0
+    Z[:, low] = _right_j(Z[:, low])
+    lam[low] = lam[low].conj()
+    kept, U = gram_schmidt(Z, n, 0.1)
+    return lam[kept], U
 
 
 # ---------------------------------------------------------------------------

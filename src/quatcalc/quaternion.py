@@ -26,6 +26,7 @@ __all__ = [
     "qabs",
     "sphere_of",
     "circularize",
+    "cluster_spheres",
     "slice_embed",
     "UNIT_I",
     "UNIT_J",
@@ -152,13 +153,6 @@ class Quaternion:
     def im_norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 
-    def axis(self) -> "ImaginaryUnit":
-        """The unit m_q = im(q)/|im(q)|; defaults to i for real quaternions."""
-        r = self.im_norm()
-        if r == 0.0:
-            return UNIT_I
-        return ImaginaryUnit(self.x / r, self.y / r, self.z / r)
-
     def is_close(self, other: "Quaternion", tol: float = 1e-12) -> bool:
         return abs(self - other) <= tol
 
@@ -243,6 +237,22 @@ def slice_embed(s: Sphere, m: ImaginaryUnit = UNIT_I, sign: int = 1) -> Quaterni
         raise ValueError("sign must be +1 or -1")
     r = sign * s.rad
     return Quaternion(s.re, m.x * r, m.y * r, m.z * r)
+
+
+def cluster_spheres(spheres, tol: float) -> list[list[Sphere]]:
+    """Single-linkage grouping of spheres in the (re, rad) half plane.
+
+    Spheres are visited in sorted order, so the grouping is deterministic.
+    """
+    groups: list[list[Sphere]] = []
+    for s in sorted(spheres):
+        for g in groups:
+            if any(s.distance(t) <= tol for t in g):
+                g.append(s)
+                break
+        else:
+            groups.append([s])
+    return groups
 
 
 def circularize(points, tol: float = 1e-9) -> frozenset:

@@ -16,21 +16,18 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from .quaternion import ImaginaryUnit, Quaternion, Sphere, UNIT_I, qconj, qmul
-from .qmatrix import (
-    QMatrix,
-    chi,
-    chi_inv,
-    chi_vec,
-    chi_vec_inv,
-    op_norm,
+from .quaternion import (
+    ImaginaryUnit,
+    Quaternion,
+    Sphere,
+    UNIT_I,
+    cluster_spheres,
 )
+from .qmatrix import QMatrix, chi, chi_inv, gram_schmidt, op_norm
 from .spectrum import (
     SphericalSpectrum,
     SpectrumProximityError,
-    delta,
     spherical_spectrum,
     hausdorff_distance,
 )
@@ -148,23 +145,6 @@ class Contour:
         }
 
 
-def _trace_distance(center: float, sp: Sphere) -> float:
-    return math.hypot(sp.re - center, sp.rad)
-
-
-def _cluster_spheres(spheres, tol: float) -> list[list[Sphere]]:
-    """Single-linkage grouping of spheres in the (re, rad) half-plane."""
-    groups: list[list[Sphere]] = []
-    for s in spheres:
-        for g in groups:
-            if any(s.distance(t) <= tol for t in g):
-                g.append(s)
-                break
-        else:
-            groups.append([s])
-    return groups
-
-
 def _pair_distance(a_re, a_h, b_re, b_h) -> float:
     """Distance in the slice plane between the circle pairs (a, conj a) and
     the trace pair (b, conj b): nearest of the two reflections."""
@@ -194,7 +174,7 @@ def build_contour(sigma, other=(), m: ImaginaryUnit = UNIT_I,
     # near-duplicate sigma spheres (numerical jitter of a multiple sphere)
     # share one circle; keep them apart from genuinely distinct traces
     extent = max(max(abs(s.re) + s.rad for s in sigma + other), 1.0)
-    reps = _cluster_spheres(sigma, 1e-7 * extent)
+    reps = cluster_spheres(sigma, 1e-7 * extent)
 
     circles: list[Circle] = []
     for group in reps:
@@ -246,40 +226,64 @@ def build_contour(sigma, other=(), m: ImaginaryUnit = UNIT_I,
     return contour
 
 
-def _node_resolvents(T: QMatrix, contour: Contour,
-                     spectrum: SphericalSpectrum, guard: float = 1e-8):
-    """Yield (s, w, Dinv, shift) for every node, with a proximity guard."""
+def _q_times(q: Quaternion, M: np.ndarray) -> np.ndarray:
+    """chi(q I_n) @ M.  chi(q I_n) = Q (x) I_n with the 2 x 2 Q = chi(q),
+    so Q mixes the two block rows of M: O(n^2), no dense product."""
+    Q = chi(QMatrix(q.to_array()[None, None, :]))
+    n = M.shape[0] // 2
+    top, bot = M[:n], M[n:]
+    return np.vstack([Q[0, 0] * top + Q[0, 1] * bot,
+                      Q[1, 0] * top + Q[1, 1] * bot])
+
+
+def _times_q(M: np.ndarray, q: Quaternion) -> np.ndarray:
+    """M @ chi(q I_n): Q = chi(q) mixes the two block columns of M."""
+    Q = chi(QMatrix(q.to_array()[None, None, :]))
+    n = M.shape[1] // 2
+    lhs, rhs = M[:, :n], M[:, n:]
+    return np.hstack([lhs * Q[0, 0] + rhs * Q[1, 0],
+                      lhs * Q[0, 1] + rhs * Q[1, 1]])
+
+
+def _quadrature(f, side: str, T: QMatrix, contour: Contour,
+                spectrum: SphericalSpectrum | None) -> QMatrix:
+    """The calculus integral of ``func_calc`` by per-node trapezoid sums.
+
+    Each node s contributes -Delta_s^-1 (T - conj(s)) w f(s) (left) or
+    -f(s) w (T - conj(s)) Delta_s^-1 (right), in chi coordinates.  The
+    scalar factors chi(q I_n) = Q(q) (x) I_n act as 2 x 2 block scalings,
+    O(n^2) per node.  A proximity guard refuses nodes near the spectrum.
+    """
+    spec = spherical_spectrum(T) if spectrum is None else spectrum
     scale = max(op_norm(T), 1.0)
     n = T.rows
     Tc = chi(T)
     Tc2 = Tc @ Tc
     eye = np.eye(2 * n)
+    acc = np.zeros((2 * n, 2 * n), dtype=complex)
     for s, w in contour.nodes():
-        sp = Sphere(s.re, s.im_norm())
-        dist = spectrum.distance_to(sp)
-        if dist < guard * scale:
+        dist = spec.distance_to(Sphere(s.re, s.im_norm()))
+        if dist < 1e-8 * scale:
             raise SpectrumProximityError(
                 f"quadrature node at distance {dist:.3e} from the spectrum",
                 dist)
-        Dc = Tc2 - 2.0 * s.re * Tc + s.norm_sq() * eye
-        Dinv = np.linalg.solve(Dc, eye)
-        yield s, w, Dinv
+        Dinv = np.linalg.solve(Tc2 - 2.0 * s.re * Tc + s.norm_sq() * eye, eye)
+        fs = f(s)
+        if not isinstance(fs, Quaternion):
+            fs = Quaternion.from_complex(complex(fs))
+        if side == "left":
+            acc -= _times_q(Dinv @ Tc - _times_q(Dinv, s.conjugate()), w * fs)
+        else:
+            acc -= _q_times(fs * w, Tc @ Dinv - _q_times(s.conjugate(), Dinv))
+    return chi_inv(acc, tol=1e-6)
 
 
 def riesz_projection(T: QMatrix, contour: Contour,
                      spectrum: SphericalSpectrum | None = None) -> QMatrix:
-    """P = (1/2pi) Int ds_m S_R^-1(s, T) by per-circle trapezoid quadrature."""
+    """P = (1/2pi) Int ds_m S_R^-1(s, T): the right calculus with f = 1."""
     if not T.is_square:
         raise ValueError("projection requires a square matrix")
-    spec = spherical_spectrum(T) if spectrum is None else spectrum
-    n = T.rows
-    Tc = chi(T)
-    acc = np.zeros((2 * n, 2 * n), dtype=complex)
-    eye = np.eye(2 * n)
-    for s, w, Dinv in _node_resolvents(T, contour, spec):
-        right = -(Tc - chi(QMatrix.diag([s.conjugate()] * n))) @ Dinv
-        acc = acc + chi(QMatrix.diag([w] * n)) @ right
-    return chi_inv(acc, tol=1e-6)
+    return _quadrature(lambda s: 1.0, "right", T, contour, spectrum)
 
 
 def func_calc(f, side: str, T: QMatrix, contour: Contour,
@@ -292,22 +296,7 @@ def func_calc(f, side: str, T: QMatrix, contour: Contour,
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    spec = spherical_spectrum(T) if spectrum is None else spectrum
-    n = T.rows
-    Tc = chi(T)
-    acc = np.zeros((2 * n, 2 * n), dtype=complex)
-    for s, w, Dinv in _node_resolvents(T, contour, spec):
-        fs = f(s)
-        if not isinstance(fs, Quaternion):
-            fs = Quaternion.from_complex(complex(fs))
-        shift = Tc - chi(QMatrix.diag([s.conjugate()] * n))
-        if side == "left":
-            left = -Dinv @ shift
-            acc = acc + left @ chi(QMatrix.diag([w * fs] * n))
-        else:
-            right = -shift @ Dinv
-            acc = acc + chi(QMatrix.diag([fs * w] * n)) @ right
-    return chi_inv(acc, tol=1e-6)
+    return _quadrature(f, side, T, contour, spectrum)
 
 
 def calc_adjoint_check(f, T: QMatrix, contour: Contour) -> float:
@@ -334,25 +323,11 @@ def range_basis(P: QMatrix, tol: float = 1e-6) -> QMatrix:
     Columns are extracted from the SVD of chi(P) in deterministic order and
     orthonormalized over the quaternions.
     """
-    M = chi(P)
-    U, sv, _ = np.linalg.svd(M)
+    U, sv, _ = np.linalg.svd(chi(P))
     rank_c = int(np.count_nonzero(sv > 0.5))
     if rank_c % 2:
         raise ValueError("range of a quaternionic operator has even chi rank")
-    k = rank_c // 2
-    cols: list[np.ndarray] = []
-    for idx in range(rank_c):
-        if len(cols) == k:
-            break
-        u = chi_vec_inv(U[:, idx])
-        for v in cols:
-            u = u - qmul(v, qmul(qconj(v), u).sum(axis=0))
-        nu = float(np.sqrt(np.sum(u * u)))
-        if nu > tol:
-            cols.append(u / nu)
-    if len(cols) != k:
-        raise RuntimeError("failed to extract a quaternionic range basis")
-    return QMatrix(np.stack(cols, axis=1))
+    return gram_schmidt(U[:, :rank_c], rank_c // 2, tol)[1]
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from .qmatrix import (
     cartesian,
     chi,
     extend,
-    modulus,
     normal_eigensystem,
     op_norm,
     plus_eigenbasis,
@@ -479,8 +478,17 @@ def suite_discretize(tols) -> list[dict]:
     return out
 
 
-SUITES = ("resolvent", "cartesian", "polar", "riesz", "calculus",
-          "extension", "irreducibility", "discretize")
+_SUITES = {
+    "resolvent": suite_resolvent,
+    "cartesian": suite_cartesian,
+    "polar": suite_polar,
+    "riesz": suite_riesz,
+    "calculus": suite_calculus,
+    "extension": suite_extension,
+    "irreducibility": suite_irreducibility,
+    "discretize": lambda rng, tols: suite_discretize(tols),
+}
+SUITES = tuple(_SUITES)
 
 
 def run_all(seed: int = 0, tol_overrides: dict | None = None,
@@ -494,25 +502,10 @@ def run_all(seed: int = 0, tol_overrides: dict | None = None,
         tols.update(tol_overrides)
     checks: list[dict] = []
     for name in suites:
-        rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
-        if name == "resolvent":
-            checks += suite_resolvent(rng, tols)
-        elif name == "cartesian":
-            checks += suite_cartesian(rng, tols)
-        elif name == "polar":
-            checks += suite_polar(rng, tols)
-        elif name == "riesz":
-            checks += suite_riesz(rng, tols)
-        elif name == "calculus":
-            checks += suite_calculus(rng, tols)
-        elif name == "extension":
-            checks += suite_extension(rng, tols)
-        elif name == "irreducibility":
-            checks += suite_irreducibility(rng, tols)
-        elif name == "discretize":
-            checks += suite_discretize(tols)
-        else:
+        if name not in _SUITES:
             raise ValueError(f"unknown suite {name!r}")
+        rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
+        checks += _SUITES[name](rng, tols)
     return {
         "seed": seed,
         "tolerances": tols,

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -137,3 +138,39 @@ def test_verify_tol_override_forces_failure(tmp_path):
 def test_tol_must_be_positive(diag_ij3):
     assert main(["verify", "--suites", "polar",
                  "--tol-polar-residual", "-1"]) == 2
+
+
+def test_riesz_partition_with_negative_real_part(tmp_path):
+    T = QMatrix.diag([Quaternion(-1, 0.5, 0, 0), Quaternion(3, 0, 0, 0)])
+    p = tmp_path / "T.json"
+    _write_matrix(p, T)
+    out = tmp_path / "riesz.json"
+    rc = main(["riesz", "--input", str(p), "--partition", "-1,0.5",
+               "--output", str(out)])
+    assert rc == 0
+    sigma = json.loads(out.read_text())["spectrum_sigma"]
+    assert sigma[0]["re"] == pytest.approx(-1.0, abs=1e-8)
+    assert sigma[0]["rad"] == pytest.approx(0.5, abs=1e-8)
+
+
+def test_tolerance_flags_only_where_used(diag_ij3):
+    for argv in (["spectrum", "--input", str(diag_ij3)],
+                 ["examples", "--sweep", "8:16"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--tol-riesz-step", "1e-3"])
+        assert exc.value.code == 2
+
+
+def test_thread_cap_without_threadpoolctl_warns(monkeypatch, capsys):
+    argv = ["examples", "--sweep", "8:16"]
+    monkeypatch.setenv("QUATCALC_THREADS", "1")
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
+    assert main(argv) == 0
+    capped = capsys.readouterr()
+    assert "QUATCALC_THREADS" in capped.err
+    assert "not applied" in capped.err
+    monkeypatch.delenv("QUATCALC_THREADS")
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    assert plain.err == ""
+    assert plain.out == capped.out

@@ -74,6 +74,14 @@ def test_volterra_norm_converges_to_two_over_pi_halved():
     assert errs[2] < 1e-5
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 50, 128, 300])
+def test_volterra_norm_exact_closed_form(n):
+    """volterra_op(n) = (h/4)(I+N)(I-N)^-1 (N the nilpotent shift), a scaled
+    Cayley transform of N, whose norm is exactly cot(pi/4n)/(4n)."""
+    exact = 1.0 / (4 * n * np.tan(np.pi / (4 * n)))
+    assert abs(volterra_op(n).norm() - exact) <= 1e-13
+
+
 def test_modulus_positivity():
     V = volterra_op(32)
     VstarV = V.matrix.adjoint() @ V.matrix

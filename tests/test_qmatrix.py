@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from quatcalc.quaternion import Quaternion, UNIT_I
+from quatcalc.quaternion import Quaternion, UNIT_I, qmul
 from quatcalc.qmatrix import (
     QMatrix,
     cartesian,
@@ -43,6 +44,30 @@ def test_chi_vec_intertwines_action(rng):
     lhs = chi(A) @ chi_vec(v)
     rhs = chi_vec(A.apply(v))
     assert np.allclose(lhs, rhs, atol=1e-12)
+
+
+def _hamilton_matmul(P: QMatrix, Q: QMatrix) -> np.ndarray:
+    """Reference product: broadcast Hamilton contraction over the shared index."""
+    return qmul(P.entries[:, :, None, :], Q.entries[None, :, :, :]).sum(axis=1)
+
+
+@settings(max_examples=60, deadline=None)
+@example(r=1, k=1, c=1, seed=0)
+@example(r=2, k=5, c=3, seed=1)
+@given(r=st.integers(1, 7), k=st.integers(1, 7), c=st.integers(1, 7),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_matmul_and_apply_match_hamilton_contraction(r, k, c, seed):
+    rng = np.random.default_rng(seed)
+    P = rand_q(rng, (r, k))
+    Q = rand_q(rng, (k, c))
+    v = rng.standard_normal((k, 4))
+    ref = _hamilton_matmul(P, Q)
+    assert np.abs((P @ Q).entries - ref).max() <= 1e-13 * k * \
+        max(np.abs(ref).max(), 1.0)
+    ref_v = qmul(P.entries, v[None, :, :]).sum(axis=1)
+    assert P.apply(v).shape == (r, 4)
+    assert np.abs(P.apply(v) - ref_v).max() <= 1e-13 * k * \
+        max(np.abs(ref_v).max(), 1.0)
 
 
 def test_chi_inv_rejects_incompatible_matrix():

@@ -7,7 +7,7 @@ from quatcalc.quaternion import (
     Quaternion,
     Sphere,
 )
-from quatcalc.qmatrix import QMatrix, op_norm
+from quatcalc.qmatrix import QMatrix, chi, chi_inv, op_norm
 from quatcalc.scalculus import (
     Circle,
     PartitionError,
@@ -170,3 +170,54 @@ def test_hard_geometry_real_point_between_traces():
     pair = riesz_decompose(T, [Sphere(-0.626, 0.574)])
     assert pair.residuals["idempotent_sigma"] <= 1e-10
     assert pair.residuals["product_zero"] <= 1e-10
+
+
+def _nonnormal(rng):
+    """T = G D G^-1 with three separated spheres and a non-unitary G."""
+    D = QMatrix.diag([Quaternion(0, 0, 1, 0), Quaternion(2, 0, 0, 0.5),
+                      Quaternion(-1, 0, 0, 0), Quaternion(2, 0.5, 0, 0)])
+    G = chi(QMatrix(rng.standard_normal((4, 4, 4))) + QMatrix.eye(4) * 3.0)
+    return chi_inv(G @ chi(D) @ np.linalg.inv(G), tol=1e-10)
+
+
+def _dense_quadrature(f, side, T, contour):
+    """Reference loop: the scalar factors chi(q I) as dense 2n x 2n products."""
+    n = T.rows
+    Tc = chi(T)
+    eye = np.eye(2 * n)
+    acc = np.zeros((2 * n, 2 * n), dtype=complex)
+    for s, w in contour.nodes():
+        Dinv = np.linalg.inv(Tc @ Tc - 2.0 * s.re * Tc + s.norm_sq() * eye)
+        shift = Tc - chi(QMatrix.diag([s.conjugate()] * n))
+        if side == "left":
+            acc -= Dinv @ shift @ chi(QMatrix.diag([w * f(s)] * n))
+        else:
+            acc -= chi(QMatrix.diag([f(s) * w] * n)) @ shift @ Dinv
+    return chi_inv(acc, tol=1e-6)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_block_scaled_quadrature_matches_dense_products(rng, side):
+    T = _nonnormal(rng)
+    spec = spherical_spectrum(T)
+    c = build_contour(spec.spheres[:2], spec.spheres[2:], nodes=64,
+                      m=ImaginaryUnit.normalized(1.0, -2.0, 0.5))
+
+    def f(q):
+        return q * q + q * Quaternion(0.0, 0.3, -0.2, 0.7)
+
+    got = func_calc(f, side, T, c, spec)
+    ref = _dense_quadrature(f, side, T, c)
+    assert op_norm(got - ref) <= 1e-12 * max(op_norm(ref), 1.0)
+
+
+def test_riesz_projection_is_right_calculus_of_one(rng):
+    T = _nonnormal(rng)
+    spec = spherical_spectrum(T)
+    c = build_contour(spec.spheres[:1], spec.spheres[1:],
+                      m=ImaginaryUnit.normalized(0.0, 1.0, 1.0))
+    P = riesz_projection(T, c, spec)
+    assert op_norm(P - func_calc(lambda q: 1.0, "right", T, c, spec)) \
+        <= 1e-13
+    assert op_norm(P @ P - P) <= 1e-10
+    assert op_norm(T @ P - P @ T) <= 1e-10 * op_norm(T)
