@@ -16,6 +16,7 @@ chi(T) psi(v) = psi(T v) and psi is isometric.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -229,7 +230,9 @@ def _chi_defect(M: np.ndarray) -> float:
 def chi_inv(M: np.ndarray, tol: float = 1e-12) -> QMatrix:
     """Inverse of ``chi``; validates the symplectic compatibility J0 M = conj(M) J0.
 
-    ``tol`` is relative to the largest entry of M.
+    ``tol`` is relative to the largest entry of M.  Either way the result
+    is the projection onto the image of chi (the average of M with its
+    J0-conjugate), so ``tol=math.inf`` projects without the check.
     """
     M = np.asarray(M, dtype=complex)
     n2, m2 = M.shape
@@ -243,17 +246,6 @@ def chi_inv(M: np.ndarray, tol: float = 1e-12) -> QMatrix:
     A = 0.5 * (M[:n, :m] + M[n:, m:].conj())
     B = 0.5 * (M[:n, m:] - M[n:, :m].conj())
     return QMatrix(_unpair(A, B))
-
-
-def _chi_symmetrize(M: np.ndarray) -> np.ndarray:
-    """Project onto the image of chi (average with its J0-conjugate)."""
-    n = M.shape[0] // 2
-    m = M.shape[1] // 2
-    P, Q = M[:n, :m], M[:n, m:]
-    R, S = M[n:, :m], M[n:, m:]
-    A = 0.5 * (P + S.conj())
-    B = 0.5 * (Q - R.conj())
-    return np.block([[A, B], [-B.conj(), A.conj()]])
 
 
 def chi_vec(v: np.ndarray) -> np.ndarray:
@@ -298,7 +290,7 @@ def positive_sqrt(T: QMatrix, tol: float = 1e-10) -> QMatrix:
     if lam.min(initial=0.0) < floor:
         raise ValueError(f"operator is indefinite (min eigenvalue {lam.min():.3e})")
     root = V @ np.diag(np.sqrt(np.clip(lam, 0.0, None))) @ V.conj().T
-    return chi_inv(_chi_symmetrize(root))
+    return chi_inv(root, tol=math.inf)
 
 
 def modulus(T: QMatrix) -> QMatrix:
@@ -323,7 +315,7 @@ def polar(T: QMatrix, rank_tol: float = 1e-10) -> tuple[QMatrix, QMatrix]:
     inv_sv = np.where(sv > cutoff, 1.0 / np.where(sv > cutoff, sv, 1.0), 0.0)
     absT = V @ np.diag(sv) @ V.conj().T
     W = M @ V @ np.diag(inv_sv) @ V.conj().T
-    return (chi_inv(_chi_symmetrize(W)), chi_inv(_chi_symmetrize(absT)))
+    return chi_inv(W, tol=math.inf), chi_inv(absT, tol=math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +417,10 @@ def cartesian(T: QMatrix, tol: float = 1e-10) -> CartesianParts:
     A = 0.5 * (T + T.adjoint())
     Uc = chi(U)
     d = 2.0 * np.abs(lam.imag)
-    B = chi_inv(_chi_symmetrize(Uc @ np.diag(np.concatenate([d, d])) @ Uc.conj().T))
+    B = chi_inv(Uc @ np.diag(np.concatenate([d, d])) @ Uc.conj().T,
+                tol=math.inf)
     i_diag = np.diag(np.concatenate([1j * np.ones(T.rows), -1j * np.ones(T.rows)]))
-    J = chi_inv(_chi_symmetrize(Uc @ i_diag @ Uc.conj().T))
+    J = chi_inv(Uc @ i_diag @ Uc.conj().T, tol=math.inf)
     return CartesianParts(A=A, B=B, J=J)
 
 

@@ -8,6 +8,23 @@ circle is spectrally accurate for the analytic integrands that occur.
 With the counterclockwise parametrization s(t) = c + r e^{mt} one has
 ds = m r e^{mt} dt and ds_m = -ds*m = r e^{mt} dt, so each quadrature node
 contributes the quaternionic weight (r/N) e^{mt_k}.
+
+The quadrature runs in C_i for every slice: a unit u with u i conj(u) = m
+turns C_m onto C_i (T' = conj(u) T u entrywise; the result X' is turned
+back as u X' conj(u)).  There a node s is a complex number z, and since
+chi(conj(s) I_n) = diag(conj(z) I, z I) and chi(Delta_s) = (chi T' - z)
+(chi T' - conj z), exactly
+
+    chi(T' - conj s) Delta_s^-1 = [top n rows of (chi T' - z)^-1;
+                                   bottom n rows of (chi T' - conj z)^-1],
+
+with column blocks for Delta_s^-1 chi(T' - conj s).  Nodes come in
+conjugate pairs (k and N - k on a circle centered on the real axis; an
+off-axis circle and its twin), so the inverse at conj(z) is the one taken
+at the partner node and each node costs one LU inverse.  A once-per-call
+Schur or Hessenberg form of chi(T) would be cheaper per node, but its
+backward error is amplified by ||(chi T - z)^-1||^2 on fragile eigenvalues
+of highly non-normal T (Trefethen-Embree, Spectra and Pseudospectra).
 """
 
 from __future__ import annotations
@@ -23,8 +40,10 @@ from .quaternion import (
     Sphere,
     UNIT_I,
     cluster_spheres,
+    qconj,
+    qmul,
 )
-from .qmatrix import QMatrix, chi, chi_inv, gram_schmidt, op_norm
+from .qmatrix import QMatrix, _pair, chi, chi_inv, gram_schmidt, op_norm
 from .spectrum import (
     SphericalSpectrum,
     SpectrumProximityError,
@@ -84,6 +103,19 @@ class Circle:
                 "height": self.height}
 
 
+def _roots_of_unity(N: int) -> np.ndarray:
+    """e^{2 pi i k/N}, k < N, with exact conjugates at k and N - k.
+
+    Each angle is reduced to [0, pi/2] before cos/sin, so 1 and -1 come out
+    exactly real and mirrored angles give bitwise mirrored values.
+    """
+    k = np.arange(N)
+    j = np.minimum(k, N - k)
+    a = np.pi * np.minimum(2 * j, N - 2 * j) / N
+    return (np.where(4 * j > N, -np.cos(a), np.cos(a))
+            + 1j * np.where(k > N - k, -np.sin(a), np.sin(a)))
+
+
 @dataclass(frozen=True)
 class Contour:
     """Union of counterclockwise circle pairs, conjugation-symmetric in C_m."""
@@ -98,26 +130,40 @@ class Contour:
         if not self.circles:
             raise ValueError("contour needs at least one circle")
 
-    def nodes(self):
-        """Yield (s, weight) pairs; weight = (r/N) e^{m t} as a quaternion.
+    def slice_nodes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Nodes, weights and conjugate partners, in slice coordinates.
 
-        Off-axis circles contribute their conjugate twin as well, keeping
-        the whole contour conjugation-symmetric within the slice.
+        The node x + y m of C_m is the complex number z = x + iy, and its
+        weight (r/N) e^{mt} is w = (r/N) e^{it}.  Off-axis circles
+        contribute their conjugate twin as well, keeping the whole contour
+        conjugation-symmetric within the slice.  ``partner[k]`` indexes the
+        node at conj(z[k]), whose weight is conj(w[k]): index N - k on an
+        on-axis circle, and on the twin of an off-axis one.
         """
-        marr = self.m.to_array()
         N = self.nodes_per_circle
-        for circ in self.circles:
-            heights = [circ.height] if circ.height == 0.0 \
-                else [circ.height, -circ.height]
-            for h in heights:
-                center = np.array([circ.center, 0, 0, 0.0]) + h * marr
-                for k in range(N):
-                    t = 2.0 * math.pi * k / N
-                    e_mt = np.array([math.cos(t), 0.0, 0.0, 0.0]) \
-                        + math.sin(t) * marr
-                    s = Quaternion.from_array(center + circ.radius * e_mt)
-                    w = Quaternion.from_array((circ.radius / N) * e_mt)
-                    yield s, w
+        k = np.arange(N)
+        flip = (N - k) % N
+        roots = _roots_of_unity(N)
+        z, w, partner = [], [], []
+        for c in self.circles:
+            base = N * len(z)
+            w_c = (c.radius / N) * roots
+            if c.height == 0.0:
+                z.append(c.center + c.radius * roots)
+                w.append(w_c)
+                partner.append(base + flip)
+            else:
+                z += [complex(c.center, c.height) + c.radius * roots,
+                      complex(c.center, -c.height) + c.radius * roots]
+                w += [w_c, w_c]
+                partner += [base + N + flip, base + flip]
+        return np.concatenate(z), np.concatenate(w), np.concatenate(partner)
+
+    def nodes(self):
+        """Yield (s, weight) quaternion pairs; weight = (r/N) e^{m t}."""
+        z, w, _ = self.slice_nodes()
+        for zk, wk in zip(z, w):
+            yield _in_slice(zk, self.m), _in_slice(wk, self.m)
 
     def winding(self, s: Sphere) -> int:
         """Winding number of the contour around the upper trace of s."""
@@ -226,56 +272,87 @@ def build_contour(sigma, other=(), m: ImaginaryUnit = UNIT_I,
     return contour
 
 
-def _q_times(q: Quaternion, M: np.ndarray) -> np.ndarray:
-    """chi(q I_n) @ M.  chi(q I_n) = Q (x) I_n with the 2 x 2 Q = chi(q),
-    so Q mixes the two block rows of M: O(n^2), no dense product."""
-    Q = chi(QMatrix(q.to_array()[None, None, :]))
-    n = M.shape[0] // 2
-    top, bot = M[:n], M[n:]
-    return np.vstack([Q[0, 0] * top + Q[0, 1] * bot,
-                      Q[1, 0] * top + Q[1, 1] * bot])
+def _in_slice(z: complex, m: ImaginaryUnit) -> Quaternion:
+    """The quaternion x + y m of C_m whose slice coordinate is z = x + iy."""
+    x, y = float(z.real), float(z.imag)
+    return Quaternion(x, y * m.x, y * m.y, y * m.z)
 
 
-def _times_q(M: np.ndarray, q: Quaternion) -> np.ndarray:
-    """M @ chi(q I_n): Q = chi(q) mixes the two block columns of M."""
-    Q = chi(QMatrix(q.to_array()[None, None, :]))
-    n = M.shape[1] // 2
-    lhs, rhs = M[:, :n], M[:, n:]
-    return np.hstack([lhs * Q[0, 0] + rhs * Q[1, 0],
-                      lhs * Q[0, 1] + rhs * Q[1, 1]])
+def _slice_rotor(m: ImaginaryUnit) -> np.ndarray:
+    """Unit quaternion u (as a 4-array) with u i conj(u) = m.
+
+    u ~ (1 + m_x, i x m) turns i onto m along a great circle, but loses all
+    accuracy as m -> -i; for m_x < 0 take the rotor onto -m and compose it
+    with j, which turns i onto -i.
+    """
+    if m.x >= 0.0:
+        u = np.array([1.0 + m.x, 0.0, -m.z, m.y])
+    else:
+        u = np.array([-m.z, m.y, 1.0 - m.x, 0.0])
+    return u / np.linalg.norm(u)
 
 
 def _quadrature(f, side: str, T: QMatrix, contour: Contour,
                 spectrum: SphericalSpectrum | None) -> QMatrix:
     """The calculus integral of ``func_calc`` by per-node trapezoid sums.
 
-    Each node s contributes -Delta_s^-1 (T - conj(s)) w f(s) (left) or
-    -f(s) w (T - conj(s)) Delta_s^-1 (right), in chi coordinates.  The
-    scalar factors chi(q I_n) = Q(q) (x) I_n act as 2 x 2 block scalings,
-    O(n^2) per node.  A proximity guard refuses nodes near the spectrum.
+    Runs in C_i (see the module docstring): T' = conj(u) T u entrywise,
+    f'(q) = conj(u) f(u q conj(u)) u, and the result is u X' conj(u).
+    Node k costs one LU inverse R_k = (chi T' - z_k)^-1.  By the row-block
+    identity its right term is -(chi(q_k) (x) I_n) [top rows of R_k;
+    bottom rows of R_partner(k)] with q = f'(z) w (the left term mirrors
+    it with column blocks and q = w f'(z)), so the integral is four
+    coefficient-weighted sums of the halves of the R_k; no inverse is kept
+    past its node.  Top and bottom halves come from independent inverses,
+    so ``chi_inv`` still measures the round-off.  A proximity guard refuses
+    nodes near the spectrum before any inverse is taken.
     """
     spec = spherical_spectrum(T) if spectrum is None else spectrum
     scale = max(op_norm(T), 1.0)
+    z, w, partner = contour.slice_nodes()
+    traces = np.array([(sp.re, sp.rad) for sp in spec.spheres])
+    dist = np.hypot(z.real[:, None] - traces[:, 0],
+                    np.abs(z.imag)[:, None] - traces[:, 1]).min(axis=1)
+    near = np.flatnonzero(dist < 1e-8 * scale)
+    if near.size:
+        d = float(dist[near[0]])
+        raise SpectrumProximityError(
+            f"quadrature node at distance {d:.3e} from the spectrum", d)
+
+    u = _slice_rotor(contour.m)
+    ubar = qconj(u)
+    fs = []
+    for zk in z:
+        v = f(_in_slice(zk, contour.m))
+        if not isinstance(v, Quaternion):
+            v = Quaternion.from_complex(complex(v))
+        fs.append(v.to_array())
+    fa, fb = _pair(qmul(qmul(ubar, np.array(fs)), u))  # f' = fa + fb j
+    if side == "left":   # q = w f' = w fa + w fb j
+        a, b = w * fa, w * fb
+    else:                # q = f' w = fa w + fb conj(w) j
+        a, b = fa * w, fb * w.conj()
+    ap, bp = a[partner], b[partner]
     n = T.rows
-    Tc = chi(T)
-    Tc2 = Tc @ Tc
+    Tc = chi(QMatrix(qmul(qmul(ubar, T.entries), u)))
+    if side == "left":
+        # columns of R are the rows of inv(chi(T')^T - z) = R^T
+        Tc = Tc.T
+        coef = ((a, -bp.conj()), (b, ap.conj()))
+    else:
+        coef = ((a, bp), (-b.conj(), ap.conj()))
     eye = np.eye(2 * n)
-    acc = np.zeros((2 * n, 2 * n), dtype=complex)
-    for s, w in contour.nodes():
-        dist = spec.distance_to(Sphere(s.re, s.im_norm()))
-        if dist < 1e-8 * scale:
-            raise SpectrumProximityError(
-                f"quadrature node at distance {dist:.3e} from the spectrum",
-                dist)
-        Dinv = np.linalg.solve(Tc2 - 2.0 * s.re * Tc + s.norm_sq() * eye, eye)
-        fs = f(s)
-        if not isinstance(fs, Quaternion):
-            fs = Quaternion.from_complex(complex(fs))
-        if side == "left":
-            acc -= _times_q(Dinv @ Tc - _times_q(Dinv, s.conjugate()), w * fs)
-        else:
-            acc -= _q_times(fs * w, Tc @ Dinv - _q_times(s.conjugate(), Dinv))
-    return chi_inv(acc, tol=1e-6)
+    top = np.zeros((n, 2 * n), dtype=complex)
+    bot = np.zeros((n, 2 * n), dtype=complex)
+    # R at node k is the top half of node k's term (coefficients a, b of k)
+    # and the bottom half of its partner's (ap, bp: those of partner[k])
+    for k, zk in enumerate(z):
+        R = np.linalg.inv(Tc - zk * eye)
+        top += coef[0][0][k] * R[:n] + coef[0][1][k] * R[n:]
+        bot += coef[1][0][k] * R[:n] + coef[1][1][k] * R[n:]
+    acc = -np.vstack([top, bot])
+    X = chi_inv(acc.T if side == "left" else acc, tol=1e-6)
+    return QMatrix(qmul(qmul(u, X.entries), ubar))
 
 
 def riesz_projection(T: QMatrix, contour: Contour,

@@ -148,7 +148,9 @@ def s_resolvent(T: QMatrix, s: Quaternion,
             f"(distance {dist:.3e} < {guard * scale:.3e})", dist)
     n = T.rows
     Dinv = _delta_inverse(T, s)
-    shift = T - QMatrix.diag([s.conjugate()] * n)
+    e = T.entries.copy()
+    e[range(n), range(n)] -= s.conjugate().to_array()
+    shift = QMatrix(e)
     left = -1.0 * (Dinv @ shift)
     right = -1.0 * (shift @ Dinv)
     return SResolventSample(s=s, left=left, right=right)

@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -174,3 +177,15 @@ def test_thread_cap_without_threadpoolctl_warns(monkeypatch, capsys):
     plain = capsys.readouterr()
     assert plain.err == ""
     assert plain.out == capped.out
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    done = subprocess.run(
+        [sys.executable, "-m", "quatcalc", "verify", "--suites", "polar"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["passed"]

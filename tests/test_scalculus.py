@@ -8,8 +8,10 @@ from quatcalc.quaternion import (
     Sphere,
 )
 from quatcalc.qmatrix import QMatrix, chi, chi_inv, op_norm
+from quatcalc.discretize import paper_example
 from quatcalc.scalculus import (
     Circle,
+    Contour,
     PartitionError,
     SeparationError,
     build_contour,
@@ -19,7 +21,7 @@ from quatcalc.scalculus import (
     riesz_decompose,
     riesz_projection,
 )
-from quatcalc.spectrum import spherical_spectrum
+from quatcalc.spectrum import SpectrumProximityError, spherical_spectrum
 
 
 @pytest.fixture
@@ -221,3 +223,79 @@ def test_riesz_projection_is_right_calculus_of_one(rng):
         <= 1e-13
     assert op_norm(P @ P - P) <= 1e-10
     assert op_norm(T @ P - P @ T) <= 1e-10 * op_norm(T)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("m", [ImaginaryUnit(-1.0, 0.0, 0.0),
+                               ImaginaryUnit(0.0, 1.0, 0.0),
+                               ImaginaryUnit(0.0, 0.0, 1.0),
+                               ImaginaryUnit.normalized(-1.0, 1e-9, 0.0)],
+                         ids=["-i", "j", "k", "near-minus-i"])
+def test_quadrature_slice_rotation_edge_cases(rng, side, m):
+    """Contours in any slice C_m are turned onto C_i, also near m = -i."""
+    T = _nonnormal(rng)
+    spec = spherical_spectrum(T)
+    c = build_contour(spec.spheres[:2], spec.spheres[2:], nodes=32, m=m)
+
+    def f(q):
+        return q * q + q * Quaternion(0.0, 0.3, -0.2, 0.7)
+
+    got = func_calc(f, side, T, c, spec)
+    ref = _dense_quadrature(f, side, T, c)
+    assert op_norm(got - ref) <= 1e-12 * max(op_norm(ref), 1.0)
+
+
+@pytest.mark.parametrize("contour", [
+    build_contour([Sphere(0.5, 0.0), Sphere(-1.0, 0.5)], [Sphere(2.0, 1.0)]),
+    Contour(m=ImaginaryUnit.normalized(0.2, -1.0, 0.4),
+            circles=(Circle(0.7, 0.7), Circle(-3.0, 0.25, height=1e-3),
+                     Circle(1e-3, 2.0, height=5.0)),
+            nodes_per_circle=17),
+], ids=["built", "hand-built-odd"])
+def test_slice_nodes_pair_with_their_conjugates(contour):
+    z, w, partner = contour.slice_nodes()
+    N = contour.nodes_per_circle
+    assert z.shape == w.shape == partner.shape
+    assert z.size == N * sum(1 if c.height == 0.0 else 2
+                             for c in contour.circles)
+    assert np.array_equal(partner[partner], np.arange(z.size))
+    assert np.all(np.abs(z[partner] - z.conj()) <= 4 * np.spacing(np.abs(z)))
+    assert np.all(np.abs(w[partner] - w.conj()) <= 4 * np.spacing(np.abs(w)))
+    # the trapezoid nodes themselves: c +- ih + r e^{2 pi i k/N}
+    roots = np.exp(2j * np.pi * np.arange(N) / N)
+    expected = np.concatenate([
+        complex(c.center, h) + c.radius * roots
+        for c in contour.circles
+        for h in ([0.0] if c.height == 0.0 else [c.height, -c.height])])
+    assert np.abs(z - expected).max() <= 1e-15 * np.abs(expected).max()
+    # nodes() yields the same points, embedded in C_m
+    s, _ = zip(*contour.nodes())
+    m = contour.m.to_array()
+    emb = np.array([[zk.real, *(zk.imag * m[1:])] for zk in z])
+    assert np.abs(np.array([q.to_array() for q in s]) - emb).max() <= 1e-15
+
+
+def test_quadrature_refuses_nodes_near_the_spectrum():
+    # T = diag(j, 3); a circle through (almost) the real sphere 3
+    T = QMatrix.diag([Quaternion(0, 0, 1, 0), Quaternion(3, 0, 0, 0)])
+    spec = spherical_spectrum(T)
+    gap = 1e-10 * op_norm(T)
+    c = Contour(circles=(Circle(2.0, 1.0 + gap / 2),), nodes_per_circle=16)
+    with pytest.raises(SpectrumProximityError) as exc:
+        riesz_projection(T, c, spec)
+    assert exc.value.distance <= gap
+    with pytest.raises(SpectrumProximityError):
+        func_calc(lambda q: q, "left", T, c, spec)
+    with pytest.raises(SpectrumProximityError):
+        func_calc(lambda q: q, "right", T, c)
+
+
+def test_projection_accuracy_on_fragile_nonnormal_example():
+    """The n = 12 example's eigenvalues are fragile (||P|| ~ 1e6): per-node
+    LU inverses keep P idempotent, a once-per-call unitary similarity of
+    chi(T) does not."""
+    T = paper_example("nonnormal", 12).T.matrix
+    spheres = sorted(spherical_spectrum(T).spheres)
+    c = build_contour(spheres[:1], spheres[1:])
+    P = riesz_projection(T, c)
+    assert op_norm(P @ P - P) <= 1e-6
