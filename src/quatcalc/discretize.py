@@ -101,6 +101,17 @@ def kernel_op(k, n: int, kind: str = "kernel") -> GridOperator:
     return GridOperator(n, kind, QMatrix(ent))
 
 
+def _half_xy_kernel(n: int, power: int, kind: str) -> GridOperator:
+    """``kernel_op`` of (1/2) x y^power, vectorized with its float-operation order."""
+    x = grid_points(n)
+    k = 0.5 * x[:, None] * x[None, :]
+    for _ in range(power - 1):
+        k = k * x[None, :]
+    ent = np.zeros((n, n, 4))
+    ent[..., 0] = (1.0 / n) * k
+    return GridOperator(n, kind, QMatrix(ent))
+
+
 def volterra_op(n: int, coeff: Quaternion | float = 0.5,
                 kind: str = "volterra") -> GridOperator:
     """(V g)(x) = coeff * Int_0^x g(y) dy with the half-diagonal convention."""
@@ -151,10 +162,8 @@ def paper_example(which: str, n: int) -> ExampleBundle:
     S = mult_op(lambda t: t, n, kind="position")
 
     if which == "normal":
-        K = kernel_op(lambda xx, yy: 0.5 * xx * yy, n,
-                      kind="rank-one (1/2)xy")
-        K0 = kernel_op(lambda xx, yy: 0.5 * xx * yy * yy, n,
-                       kind="rank-one (1/2)xy^2")
+        K = _half_xy_kernel(n, 1, kind="rank-one (1/2)xy")
+        K0 = _half_xy_kernel(n, 2, kind="rank-one (1/2)xy^2")
         Tm = W.matrix @ S.matrix + K0.matrix
         norm_K_expected = 1.0 / 6.0
         norm_K_bound = 1.0 / 3.0

@@ -12,6 +12,13 @@ J0 M = conj(M) J0 with J0 = [[0, I], [-I, 0]].  Products use the pair rule
 i.e. four complex GEMMs; eigen/SVD work is a LAPACK call on chi(T).
 Vectors v = a + b*j embed as psi(v) = [a; -conj(b)], so
 chi(T) psi(v) = psi(T v) and psi is isometric.
+
+Slice-valued T, whose entries all lie in one slice C_u (at most one of the
+three imaginary components is nonzero anywhere), take a shortcut: chi(T) is
+unitarily similar to Z (+) conj(Z), where Z = w + i*c_u is n x m (real when
+T is real; Zhang, "Quaternions and matrices of quaternions", LAA 1997).
+``op_norm`` and the spectrum take their SVD and eigenvalues from Z, which
+has a quarter of the entries of chi(T).
 """
 
 from __future__ import annotations
@@ -265,11 +272,32 @@ def chi_vec_inv(z: np.ndarray) -> np.ndarray:
 # norms, square roots, polar decomposition
 # ---------------------------------------------------------------------------
 
+def _slice_matrix(T: QMatrix) -> np.ndarray | None:
+    """The n x m matrix Z with chi(T) unitarily similar to Z (+) conj(Z), or None.
+
+    Z exists when at most one imaginary component u of the entries is
+    nonzero anywhere (an exact test, no tolerance): it is the real part w
+    when T is real and w + i*c_u when every entry lies in the slice C_u.
+    """
+    e = T.entries
+    used = [u for u in (1, 2, 3) if e[..., u].any()]
+    if len(used) > 1:
+        return None
+    if not used:
+        return e[..., 0]
+    return e[..., 0] + 1j * e[..., used[0]]
+
+
 def op_norm(T: QMatrix) -> float:
-    """Operator norm sup{|Tx| : |x| <= 1} = largest singular value of chi(T)."""
+    """Operator norm sup{|Tx| : |x| <= 1} = largest singular value of chi(T).
+
+    For slice-valued T this is the largest singular value of the n x m
+    ``_slice_matrix`` Z, since chi(T) is unitarily similar to Z (+) conj(Z).
+    """
     if T.rows == 0 or T.cols == 0:
         return 0.0
-    s = scipy.linalg.svdvals(chi(T))
+    Z = _slice_matrix(T)
+    s = scipy.linalg.svdvals(chi(T) if Z is None else Z)
     return float(s[0]) if s.size else 0.0
 
 

@@ -255,22 +255,38 @@ def cluster_spheres(spheres, tol: float) -> list[list[Sphere]]:
     return groups
 
 
+# complex entries per block of circularize's conjugation-distance table
+_CIRCULARIZE_BLOCK = 1 << 18
+
+
 def circularize(points, tol: float = 1e-9) -> frozenset:
     """Spheres swept by a conjugation-symmetric set of complex points.
 
     Raises ValueError if the input is not closed under complex conjugation
-    within ``tol``.  Spheres closer than ``tol`` are merged.
+    within ``tol``.  Points are visited in (re, |im|) order and a point
+    opens a new sphere unless it lies within ``tol`` of a kept one.
     """
-    pts = [complex(p) for p in points]
-    for p in pts:
-        if abs(p.imag) <= tol:
-            continue
-        if min(abs(p.conjugate() - q) for q in pts) > tol:
-            raise ValueError(
-                f"set is not conjugation symmetric: missing conjugate of {p}")
+    pts = np.fromiter(points, dtype=complex)
+    # conjugation check, a block of rows of the distance table at a time
+    off = np.flatnonzero(np.abs(pts.imag) > tol)
+    rows = max(1, _CIRCULARIZE_BLOCK // max(pts.size, 1))
+    for lo in range(0, off.size, rows):
+        idx = off[lo:lo + rows]
+        gap = np.abs(pts[idx, None].conj() - pts[None, :]).min(axis=1)
+        bad = np.flatnonzero(gap > tol)
+        if bad.size:
+            raise ValueError("set is not conjugation symmetric: missing "
+                             f"conjugate of {complex(pts[idx[bad[0]]])}")
+    re, rad = pts.real, np.abs(pts.imag)
+    order = np.lexsort((rad, re))
     spheres: list[Sphere] = []
-    for p in sorted(pts, key=lambda c: (c.real, abs(c.imag))):
-        cand = Sphere(p.real, abs(p.imag))
-        if all(cand.distance(s) > tol for s in spheres):
+    kept_re = np.empty(pts.size)  # nondecreasing: points arrive sorted by re
+    for r, m in zip(re[order].tolist(), rad[order].tolist()):
+        cand = Sphere(r, m)
+        # a kept sphere within tol has re >= r - tol; the window is taken at
+        # 2 tol so that rounding in r - tol cannot leave such a sphere out
+        lo = int(np.searchsorted(kept_re[:len(spheres)], r - 2.0 * tol))
+        if all(cand.distance(s) > tol for s in reversed(spheres[lo:])):
+            kept_re[len(spheres)] = r
             spheres.append(cand)
     return frozenset(spheres)

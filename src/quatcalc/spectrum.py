@@ -8,7 +8,7 @@ import numpy as np
 import scipy.linalg
 
 from .quaternion import Quaternion, Sphere, circularize, slice_embed, sphere_of
-from .qmatrix import QMatrix, chi, chi_inv, op_norm
+from .qmatrix import QMatrix, _slice_matrix, chi, chi_inv, op_norm
 
 __all__ = [
     "SphericalSpectrum",
@@ -70,7 +70,12 @@ def delta(T: QMatrix, q: Quaternion) -> QMatrix:
 
 
 def _chi_eigenvalues(T: QMatrix) -> np.ndarray:
-    return np.linalg.eigvals(chi(T))
+    """Eigenvalues of chi(T); eig(Z) and their conjugates for slice-valued T."""
+    Z = _slice_matrix(T)
+    if Z is None:
+        return np.linalg.eigvals(chi(T))
+    w = np.linalg.eigvals(Z)
+    return np.concatenate([w, w.conj()])
 
 
 def spherical_spectrum(T: QMatrix, tol: float = 1e-9) -> SphericalSpectrum:
@@ -78,7 +83,9 @@ def spherical_spectrum(T: QMatrix, tol: float = 1e-9) -> SphericalSpectrum:
 
     Computed from the eigenvalues of chi(T); quaternionic multiplicity counts
     eigenvalues in the open upper half plane, and half the (doubled) complex
-    multiplicity for real eigenvalues.
+    multiplicity for real eigenvalues.  When every entry of T lies in one
+    slice C_u, the eigenvalues of chi(T) are those of the n x n matrix
+    Z = w + i*c_u and their conjugates, so only Z is factored.
     """
     if not T.is_square:
         raise ValueError("spectrum requires a square matrix")

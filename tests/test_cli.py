@@ -111,6 +111,18 @@ def test_examples_sweep_csv(tmp_path):
     assert errors[2] < errors[1] < errors[0]
 
 
+def test_examples_sweep_to_1024_matches_closed_form(tmp_path):
+    """End to end: each swept Volterra norm is cot(pi/4n)/(4n) to 1e-13."""
+    out = tmp_path / "sweep.csv"
+    assert main(["examples", "--sweep", "64:1024", "--output", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+    ns = [int(r[0]) for r in rows]
+    assert ns == [64, 128, 256, 512, 1024]
+    for n, r in zip(ns, rows):
+        exact = 1.0 / (4 * n * np.tan(np.pi / (4 * n)))
+        assert abs(float(r[1]) - exact) <= 1e-13 * exact
+
+
 def test_examples_bad_sweep():
     assert main(["examples", "--sweep", "32:8"]) == 2
 

@@ -8,6 +8,7 @@ from quatcalc.quaternion import Quaternion, Sphere
 from quatcalc.spectrum import spherical_spectrum
 from quatcalc.discretize import (
     ExampleBundle,
+    _half_xy_kernel,
     grid_points,
     kernel_op,
     mult_op,
@@ -116,6 +117,16 @@ def test_rank_one_kernel_norm_limit():
         b = kernel_op(lambda x, y: 0.5 * x * y, n)
         assert abs(b.norm() - 1.0 / 6.0) <= 2.0 / n
         assert b.norm() < 1.0 / 3.0
+
+
+@pytest.mark.parametrize("n", [3, 12, 96])
+def test_rank_one_kernels_match_kernel_op_bitwise(n):
+    """The "normal" example's vectorized K and K0 equal kernel_op's entries bit for bit."""
+    for power, k in ((1, lambda x, y: 0.5 * x * y),
+                     (2, lambda x, y: 0.5 * x * y * y)):
+        fast = _half_xy_kernel(n, power, kind="fast").matrix.entries
+        ref = kernel_op(k, n).matrix.entries
+        assert fast.tobytes() == ref.tobytes()
 
 
 def test_normal_example_is_actually_nonnormal():

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 from quatcalc.quaternion import Quaternion, UNIT_I, qmul
 from quatcalc.qmatrix import (
     QMatrix,
+    _slice_matrix,
     cartesian,
     chi,
     chi_inv,
@@ -68,6 +69,51 @@ def test_matmul_and_apply_match_hamilton_contraction(r, k, c, seed):
     assert P.apply(v).shape == (r, 4)
     assert np.abs(P.apply(v) - ref_v).max() <= 1e-13 * k * \
         max(np.abs(ref_v).max(), 1.0)
+
+
+def _chi_norm(T: QMatrix) -> float:
+    """Reference: largest singular value of the full 2n x 2m chi(T)."""
+    return float(np.linalg.svd(chi(T), compute_uv=False)[0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(r=st.integers(1, 9), c=st.integers(1, 9), u=st.sampled_from([0, 1, 2, 3]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_op_norm_of_slice_valued_matrix_matches_chi(r, c, u, seed):
+    """Real (u = 0) and C_i, C_j, C_k entries: ||T|| from the n x m slice matrix."""
+    rng = np.random.default_rng(seed)
+    e = np.zeros((r, c, 4))
+    e[..., 0] = rng.standard_normal((r, c))
+    if u:
+        e[..., u] = rng.standard_normal((r, c))
+    T = QMatrix(e)
+    Z = _slice_matrix(T)
+    assert Z is not None and Z.shape == (r, c)
+    assert np.iscomplexobj(Z) == bool(u)
+    ref = _chi_norm(T)
+    assert abs(op_norm(T) - ref) <= 1e-13 * ref
+
+
+def _with_entries(shape, cells) -> QMatrix:
+    e = np.zeros(shape + (4,))
+    for (r, c), q in cells.items():
+        e[r, c] = q
+    return QMatrix(e)
+
+
+@pytest.mark.parametrize("T", [
+    _with_entries((2, 3), {(0, 0): [1.0, 2.0, 0, 0], (1, 2): [0.5, 0, -3.0, 0]}),
+    _with_entries((3, 3), {(1, 1): [0.0, 0, 1.0, 1.0], (0, 2): [2.0, 0, 0, 0]}),
+], ids=["one entry i, another j", "an entry j + k"])
+def test_op_norm_falls_back_to_chi_across_slices(T):
+    # a C_i or C_j matrix built from these entries would have the wrong norm
+    assert _slice_matrix(T) is None
+    assert abs(op_norm(T) - _chi_norm(T)) <= 1e-13 * _chi_norm(T)
+
+
+def test_op_norm_of_zero_and_empty_matrices():
+    assert op_norm(QMatrix.zeros(3, 2)) == 0.0
+    assert op_norm(QMatrix.zeros(0, 4)) == 0.0
 
 
 def test_chi_inv_rejects_incompatible_matrix():

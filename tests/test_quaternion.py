@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quatcalc.quaternion import (
     ImaginaryUnit,
@@ -84,6 +84,59 @@ def test_circularize_groups_conjugates():
 def test_circularize_rejects_asymmetric_sets():
     with pytest.raises(ValueError):
         circularize([complex(1, 2), complex(3, 0)])
+
+
+def _circularize_scan(points, tol):
+    """Reference: the O(n^2) pairwise scan that circularize replaced."""
+    pts = [complex(p) for p in points]
+    for p in pts:
+        if abs(p.imag) <= tol:
+            continue
+        if min(abs(p.conjugate() - q) for q in pts) > tol:
+            raise ValueError(
+                f"set is not conjugation symmetric: missing conjugate of {p}")
+    spheres: list[Sphere] = []
+    for p in sorted(pts, key=lambda c: (c.real, abs(c.imag))):
+        cand = Sphere(p.real, abs(p.imag))
+        if all(cand.distance(s) > tol for s in spheres):
+            spheres.append(cand)
+    return frozenset(spheres)
+
+
+def _sorted_spheres(spheres):
+    return sorted((s.re, s.rad) for s in spheres)
+
+
+# base points on a coarse grid (so exact ties in re occur), each repeated with
+# offsets of 0 to 2 tol: near-duplicates on both sides of the merge radius
+_base = st.tuples(st.integers(-3, 3), st.integers(0, 3))
+_offset = st.tuples(st.floats(-2, 2), st.floats(-2, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@example(base=[(0, 0), (0, 1), (0, 1)], offsets=[[(0.0, 0.0)], [(0.5, 0.0)], [(1.0, 0.0)]],
+         log_tol=-12.0)
+@given(base=st.lists(_base, min_size=0, max_size=12),
+       offsets=st.lists(st.lists(_offset, max_size=4), min_size=12, max_size=12),
+       log_tol=st.floats(-12, -1))
+def test_circularize_matches_pairwise_scan(base, offsets, log_tol):
+    tol = 10.0 ** log_tol
+    pts = []
+    for (a, b), offs in zip(base, offsets):
+        for d in [(0.0, 0.0)] + offs:
+            p = complex(0.5 * a + d[0] * tol, 0.25 * b + d[1] * tol)
+            pts += [p, p.conjugate()]
+    ref = _circularize_scan(pts, tol)
+    got = circularize(np.array(pts), tol=tol)
+    assert got == ref
+    assert _sorted_spheres(got) == _sorted_spheres(ref)
+    # one point whose conjugate is missing: both raise with the same message
+    lone = complex(9.0, 1.0)
+    with pytest.raises(ValueError) as want:
+        _circularize_scan(pts + [lone], tol)
+    with pytest.raises(ValueError) as err:
+        circularize(pts + [lone], tol=tol)
+    assert str(err.value) == str(want.value)
 
 
 def test_imaginary_unit_validation():

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
+from quatcalc.discretize import grid_points, paper_example
 from quatcalc.quaternion import Quaternion, Sphere, sphere_of
 from quatcalc.qmatrix import QMatrix, chi, op_norm
 from quatcalc.spectrum import (
     SpectrumProximityError,
+    _chi_eigenvalues,
     delta,
     point_spectrum,
     s_resolvent,
@@ -104,3 +107,36 @@ def test_real_spheres_use_half_multiplicity():
     T = QMatrix.diag([Quaternion(2, 0, 0, 0)] * 3)
     spec = spherical_spectrum(T)
     assert spec.multiplicities == (3,)
+
+
+@pytest.mark.parametrize("u", [2, 3], ids=["C_j", "C_k"])
+@pytest.mark.parametrize("n", [1, 4, 9])
+def test_chi_eigenvalues_of_slice_valued_matrix(u, n):
+    """eig(Z) with its conjugates is the eigenvalue multiset of chi(T)."""
+    rng = np.random.default_rng(100 * u + n)
+    # distinct, well-separated diagonal plus a small coupling: well conditioned
+    Z = np.diag(np.arange(n) + 1j * rng.uniform(-2, 2, n)) \
+        + 0.1 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    e = np.zeros((n, n, 4))
+    e[..., 0], e[..., u] = Z.real, Z.imag
+    T = QMatrix(e)
+    got = _chi_eigenvalues(T)
+    ref = np.linalg.eigvals(chi(T))
+    assert got.shape == ref.shape == (2 * n,)
+    dist = np.abs(got[:, None] - ref[None, :])
+    rows, cols = linear_sum_assignment(dist)
+    assert dist[rows, cols].max() <= 1e-12 * max(op_norm(T), 1.0)
+
+
+def test_nonnormal_example_spectrum_matches_closed_form():
+    """The lower-triangular nonnormal T has diagonal x_r 1[x_r <= 1/3] + j x_r/(4n):
+    its spheres are (x_r 1[x_r <= 1/3], x_r/(4n)), each of multiplicity one."""
+    n = 96
+    x = grid_points(n)
+    ref = np.stack([np.where(x <= 1.0 / 3.0, x, 0.0), x / (4.0 * n)], axis=1)
+    ref = ref[np.lexsort((ref[:, 1], ref[:, 0]))]
+    spec = spherical_spectrum(paper_example("nonnormal", n).T.matrix)
+    got = np.array([(s.re, s.rad) for s in spec.spheres])
+    assert got.shape == (n, 2)
+    assert spec.multiplicities == (1,) * n
+    assert np.abs(got - ref).max() <= 1e-14
