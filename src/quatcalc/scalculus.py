@@ -20,11 +20,14 @@ chi(conj(s) I_n) = diag(conj(z) I, z I) and chi(Delta_s) = (chi T' - z)
 
 with column blocks for Delta_s^-1 chi(T' - conj s).  Nodes come in
 conjugate pairs (k and N - k on a circle centered on the real axis; an
-off-axis circle and its twin), so the inverse at conj(z) is the one taken
-at the partner node and each node costs one LU inverse.  A once-per-call
-Schur or Hessenberg form of chi(T) would be cheaper per node, but its
-backward error is amplified by ||(chi T - z)^-1||^2 on fragile eigenvalues
-of highly non-normal T (Trefethen-Embree, Spectra and Pseudospectra).
+off-axis circle and its twin).  As J0 chi(T') J0^-1 = conj(chi T'), the
+inverse at conj(z) is, exactly, the block mirror of R = (chi T' - z)^-1 =
+[[P, Q], [S, U]]: [[conj U, -conj S], [-conj Q, conj P]].  So each pair
+costs one LU inverse, and no factorization is shared across nodes (the
+mirror moves blocks and adds no backward error).  A once-per-call Schur or
+Hessenberg form of chi(T) would be cheaper per node, but its backward error
+is amplified by ||(chi T - z)^-1||^2 on fragile eigenvalues of highly
+non-normal T (Trefethen-Embree, Spectra and Pseudospectra).
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .quaternion import (
     qconj,
     qmul,
 )
-from .qmatrix import QMatrix, _pair, chi, chi_inv, gram_schmidt, op_norm
+from .qmatrix import QMatrix, _pair, _unpair, chi, gram_schmidt, op_norm
 from .spectrum import (
     SphericalSpectrum,
     SpectrumProximityError,
@@ -169,20 +172,6 @@ class Contour:
         """Winding number of the contour around the upper trace of s."""
         return sum(1 for c in self.circles if c.contains(s.re, s.rad))
 
-    def encloses(self, s: Sphere) -> bool:
-        return self.winding(s) == 1
-
-    def clearance(self, spheres) -> float:
-        """Distance from circle boundaries to the slice traces of spheres."""
-        best = float("inf")
-        for sp in spheres:
-            for c in self.circles:
-                for sign in (1, -1):
-                    d = math.hypot(sp.re - c.center,
-                                   sign * sp.rad - c.height)
-                    best = min(best, abs(d - c.radius))
-        return best
-
     def to_json(self) -> dict:
         return {
             "m": [self.m.x, self.m.y, self.m.z],
@@ -298,14 +287,14 @@ def _quadrature(f, side: str, T: QMatrix, contour: Contour,
 
     Runs in C_i (see the module docstring): T' = conj(u) T u entrywise,
     f'(q) = conj(u) f(u q conj(u)) u, and the result is u X' conj(u).
-    Node k costs one LU inverse R_k = (chi T' - z_k)^-1.  By the row-block
-    identity its right term is -(chi(q_k) (x) I_n) [top rows of R_k;
-    bottom rows of R_partner(k)] with q = f'(z) w (the left term mirrors
-    it with column blocks and q = w f'(z)), so the integral is four
-    coefficient-weighted sums of the halves of the R_k; no inverse is kept
-    past its node.  Top and bottom halves come from independent inverses,
-    so ``chi_inv`` still measures the round-off.  A proximity guard refuses
-    nodes near the spectrum before any inverse is taken.
+    By the row-block identity node k's right term is -(chi(q_k) (x) I_n)
+    [top rows of R_k; bottom rows of R_partner(k)], R_k = (chi T' - z_k)^-1,
+    q = f'(z) w (the left term mirrors it with column blocks, q = w f'(z)).
+    The sum lies in the image of chi, so only its top n rows are kept.  Lead
+    nodes (k <= partner[k]) take one LU inverse each; their partners' R is
+    its block mirror.  A sentinel checks the round-off: the mirror at the
+    lead node nearest the spectrum against an independent inverse at its
+    partner.  A proximity guard refuses nodes near the spectrum first.
     """
     spec = spherical_spectrum(T) if spectrum is None else spectrum
     scale = max(op_norm(T), 1.0)
@@ -332,27 +321,38 @@ def _quadrature(f, side: str, T: QMatrix, contour: Contour,
         a, b = w * fa, w * fb
     else:                # q = f' w = fa w + fb conj(w) j
         a, b = fa * w, fb * w.conj()
-    ap, bp = a[partner], b[partner]
     n = T.rows
     Tc = chi(QMatrix(qmul(qmul(ubar, T.entries), u)))
+    c = b[partner]  # node k adds a_k R_k[:n] + c_k R_k[n:] to the top rows
     if side == "left":
         # columns of R are the rows of inv(chi(T')^T - z) = R^T
         Tc = Tc.T
-        coef = ((a, -bp.conj()), (b, ap.conj()))
-    else:
-        coef = ((a, bp), (-b.conj(), ap.conj()))
+        c = -c.conj()
+    # the partner's term a_p R_p[:n] + c_p R_p[n:] (R_p the mirror of R_k) is
+    # conj([W[:, n:], -W[:, :n]]), W = conj(a_p) R_k[n:] - conj(c_p) R_k[:n]
+    lead = np.flatnonzero(np.arange(z.size) <= partner)
+    twin = partner != np.arange(z.size)
+    ma, mc = twin * a[partner].conj(), twin * c[partner].conj()
     eye = np.eye(2 * n)
-    top = np.zeros((n, 2 * n), dtype=complex)
-    bot = np.zeros((n, 2 * n), dtype=complex)
-    # R at node k is the top half of node k's term (coefficients a, b of k)
-    # and the bottom half of its partner's (ap, bp: those of partner[k])
-    for k, zk in enumerate(z):
-        R = np.linalg.inv(Tc - zk * eye)
-        top += coef[0][0][k] * R[:n] + coef[0][1][k] * R[n:]
-        bot += coef[1][0][k] * R[:n] + coef[1][1][k] * R[n:]
-    acc = -np.vstack([top, bot])
-    X = chi_inv(acc.T if side == "left" else acc, tol=1e-6)
-    return QMatrix(qmul(qmul(u, X.entries), ubar))
+    top, W = np.zeros((2, n, 2 * n), dtype=complex)
+    sentinel = lead[np.argmin(dist[lead])]
+    for k in lead:
+        R = np.linalg.inv(Tc - z[k] * eye)
+        top += a[k] * R[:n] + c[k] * R[n:]
+        W += ma[k] * R[n:] - mc[k] * R[:n]
+        if k == sentinel:
+            R_s = R
+    top = -top - np.hstack([W[:, n:], -W[:, :n]]).conj()
+    p = partner[sentinel]
+    R_p = R_s if p == sentinel else np.linalg.inv(Tc - z[p] * eye)
+    R_m = np.block([[R_s[n:, n:], -R_s[n:, :n]], [-R_s[:n, n:], R_s[:n, :n]]])
+    defect = abs(w[sentinel]) * np.abs(R_p - R_m.conj()).max()
+    if defect > 1e-6 * max(np.abs(top).max(), 1.0):
+        raise ValueError(f"quadrature round-off check: defect {defect:.3e}")
+    A, B = top[:, :n], top[:, n:]
+    if side == "left":
+        A, B = A.T, -B.conj().T
+    return QMatrix(qmul(qmul(u, _unpair(A, B)), ubar))
 
 
 def riesz_projection(T: QMatrix, contour: Contour,

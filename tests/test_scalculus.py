@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from quatcalc.quaternion import (
     UNIT_I,
@@ -245,12 +246,71 @@ def test_quadrature_slice_rotation_edge_cases(rng, side, m):
     assert op_norm(got - ref) <= 1e-12 * max(op_norm(ref), 1.0)
 
 
+# odd N puts a real node on each on-axis circle that is its own partner, and
+# the off-axis circle with radius > height puts lead nodes below the axis
+_ODD_CONTOUR = Contour(m=ImaginaryUnit.normalized(0.2, -1.0, 0.4),
+                       circles=(Circle(0.7, 0.7),
+                                Circle(-3.0, 0.25, height=1e-3),
+                                Circle(1e-3, 2.0, height=5.0)),
+                       nodes_per_circle=17)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_quadrature_matches_dense_products_on_odd_axis_crossing_contour(
+        rng, side):
+    # ||T - 0.7|| = 0.2 puts the spectrum inside Circle(0.7, 0.7)
+    E = QMatrix(rng.standard_normal((5, 5, 4)))
+    T = QMatrix.eye(5) * 0.7 + E * (0.2 / op_norm(E))
+
+    def f(q):
+        return q * q + q * Quaternion(0.0, 0.3, -0.2, 0.7)
+
+    got = func_calc(f, side, T, _ODD_CONTOUR)
+    ref = _dense_quadrature(f, side, T, _ODD_CONTOUR)
+    assert op_norm(got - ref) <= 1e-12 * max(op_norm(ref), 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 7), re=st.floats(-3.0, 3.0), im=st.floats(-3.0, 3.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_inverse_at_conjugate_node_is_the_block_mirror(n, re, im, seed):
+    """inv(M - conj z) = [[conj U, -conj S], [-conj Q, conj P]] for
+    inv(M - z) = [[P, Q], [S, U]], M = chi(T) or chi(T)^T."""
+    T = QMatrix(np.random.default_rng(seed).standard_normal((n, n, 4)))
+    z = complex(re, im)
+    eye = np.eye(2 * n)
+    for M in (chi(T), chi(T).T):
+        assume(np.linalg.cond(M - z * eye) < 1e3)
+        R = np.linalg.inv(M - z * eye)
+        P, Q, S, U = R[:n, :n], R[:n, n:], R[n:, :n], R[n:, n:]
+        mirror = np.block([[U.conj(), -S.conj()], [-Q.conj(), P.conj()]])
+        ref = np.linalg.inv(M - z.conjugate() * eye)
+        assert np.abs(mirror - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_quadrature_round_off_check_sees_independent_inverse_noise(
+        rng, monkeypatch):
+    """With 1e-3 relative noise on every inverse, the independent inverse at
+    the sentinel's partner disagrees with the mirror of the sentinel's."""
+    T = _nonnormal(rng)
+    spec = spherical_spectrum(T)
+    c = build_contour(spec.spheres[:1], spec.spheres[1:])
+    riesz_projection(T, c, spec)
+    inv = np.linalg.inv
+    noise = np.random.default_rng(5)
+
+    def noisy_inv(M):
+        R = inv(M)
+        return R + 1e-3 * np.abs(R).max() * noise.standard_normal(R.shape)
+
+    monkeypatch.setattr(np.linalg, "inv", noisy_inv)
+    with pytest.raises(ValueError, match="round-off check"):
+        riesz_projection(T, c, spec)
+
+
 @pytest.mark.parametrize("contour", [
     build_contour([Sphere(0.5, 0.0), Sphere(-1.0, 0.5)], [Sphere(2.0, 1.0)]),
-    Contour(m=ImaginaryUnit.normalized(0.2, -1.0, 0.4),
-            circles=(Circle(0.7, 0.7), Circle(-3.0, 0.25, height=1e-3),
-                     Circle(1e-3, 2.0, height=5.0)),
-            nodes_per_circle=17),
+    _ODD_CONTOUR,
 ], ids=["built", "hand-built-odd"])
 def test_slice_nodes_pair_with_their_conjugates(contour):
     z, w, partner = contour.slice_nodes()
