@@ -9,7 +9,9 @@ the slice C_i) and its complex adjoint representation
 a real-algebra *-isomorphism onto the 2n x 2m complex matrices satisfying
 J0 M = conj(M) J0 with J0 = [[0, I], [-I, 0]].  Products use the pair rule
 (A1 + B1 j)(A2 + B2 j) = (A1 A2 - B1 conj(B2)) + (A1 B2 + B1 conj(A2)) j,
-i.e. four complex GEMMs; eigen/SVD work is a LAPACK call on chi(T).
+i.e. four complex GEMMs; eigen/SVD work is a LAPACK call on chi(T), through
+numpy only, so one BLAS library serves every hot path (``normal_eigensystem``
+imports scipy for its Schur form).
 Vectors v = a + b*j embed as psi(v) = [a; -conj(b)], so
 chi(T) psi(v) = psi(T v) and psi is isometric.
 
@@ -27,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .quaternion import ImaginaryUnit, Quaternion, UNIT_I, qconj, qmul
 
@@ -297,7 +298,7 @@ def op_norm(T: QMatrix) -> float:
     if T.rows == 0 or T.cols == 0:
         return 0.0
     Z = _slice_matrix(T)
-    s = scipy.linalg.svdvals(chi(T) if Z is None else Z)
+    s = np.linalg.svd(chi(T) if Z is None else Z, compute_uv=False)
     return float(s[0]) if s.size else 0.0
 
 
@@ -402,6 +403,10 @@ def normal_eigensystem(T: QMatrix, tol: float = 1e-9) -> tuple[np.ndarray, QMatr
     defect = np.abs(N @ N.conj().T - N.conj().T @ N).max(initial=0.0)
     if defect > tol * scale ** 2 * 10:
         raise ValueError(f"matrix is not normal (defect {defect:.3e})")
+    # numpy has no Schur form; the only scipy.linalg call in the package,
+    # imported here so that no hot path loads a second BLAS library
+    import scipy.linalg
+
     Tsch, Q = scipy.linalg.schur(N, output="complex")
     lam = np.diag(Tsch)
     order = np.lexsort((np.abs(lam.imag), lam.real))

@@ -28,11 +28,20 @@ mirror moves blocks and adds no backward error).  A once-per-call Schur or
 Hessenberg form of chi(T) would be cheaper per node, but its backward error
 is amplified by ||(chi T - z)^-1||^2 on fragile eigenvalues of highly
 non-normal T (Trefethen-Embree, Spectra and Pseudospectra).
+
+The lead nodes of the pairs run in a fixed number of chunks on a thread
+pool made per call (numpy's LAPACK releases the GIL), summed in chunk order:
+the result is bitwise the same for any pool size, and a forked child, which
+has none of a module-level pool's threads, still works.  Each call logs its
+node counts, pool size and sentinel defect at DEBUG on the "quatcalc" logger.
 """
 
 from __future__ import annotations
 
+import logging
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +76,20 @@ __all__ = [
     "riesz_decompose",
     "range_basis",
 ]
+
+
+_log = logging.getLogger("quatcalc")
+
+# Lead nodes are split into this many contiguous chunks whatever the core
+# count, so the summation order, and hence every bit of the result, is fixed.
+_CHUNKS = 8
+
+
+def _worker_count() -> int:
+    """CPUs this process may run on: the quadrature pool's size."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 class SeparationError(ValueError):
@@ -291,10 +314,11 @@ def _quadrature(f, side: str, T: QMatrix, contour: Contour,
     [top rows of R_k; bottom rows of R_partner(k)], R_k = (chi T' - z_k)^-1,
     q = f'(z) w (the left term mirrors it with column blocks, q = w f'(z)).
     The sum lies in the image of chi, so only its top n rows are kept.  Lead
-    nodes (k <= partner[k]) take one LU inverse each; their partners' R is
-    its block mirror.  A sentinel checks the round-off: the mirror at the
-    lead node nearest the spectrum against an independent inverse at its
-    partner.  A proximity guard refuses nodes near the spectrum first.
+    nodes (k <= partner[k]) take one LU inverse each, in ``_CHUNKS`` chunks
+    on a per-call thread pool; their partners' R is its block mirror.  A
+    sentinel checks the round-off: the mirror at the lead node nearest the
+    spectrum against an independent inverse at its partner.  A proximity
+    guard refuses nodes near the spectrum first.
     """
     spec = spherical_spectrum(T) if spectrum is None else spectrum
     scale = max(op_norm(T), 1.0)
@@ -334,19 +358,35 @@ def _quadrature(f, side: str, T: QMatrix, contour: Contour,
     twin = partner != np.arange(z.size)
     ma, mc = twin * a[partner].conj(), twin * c[partner].conj()
     eye = np.eye(2 * n)
-    top, W = np.zeros((2, n, 2 * n), dtype=complex)
     sentinel = lead[np.argmin(dist[lead])]
-    for k in lead:
-        R = np.linalg.inv(Tc - z[k] * eye)
-        top += a[k] * R[:n] + c[k] * R[n:]
-        W += ma[k] * R[n:] - mc[k] * R[:n]
-        if k == sentinel:
-            R_s = R
+
+    def chunk_sum(ks):
+        top, W = np.zeros((2, n, 2 * n), dtype=complex)
+        R_s = None
+        for k in ks:
+            R = np.linalg.inv(Tc - z[k] * eye)
+            top += a[k] * R[:n] + c[k] * R[n:]
+            W += ma[k] * R[n:] - mc[k] * R[:n]
+            if k == sentinel:
+                R_s = R
+        return top, W, R_s
+
+    chunks = np.array_split(lead, min(_CHUNKS, lead.size))
+    workers = min(_worker_count(), len(chunks))
+    top, W = np.zeros((2, n, 2 * n), dtype=complex)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for top_c, W_c, R_c in pool.map(chunk_sum, chunks):
+            top += top_c
+            W += W_c
+            if R_c is not None:
+                R_s = R_c
     top = -top - np.hstack([W[:, n:], -W[:, :n]]).conj()
     p = partner[sentinel]
     R_p = R_s if p == sentinel else np.linalg.inv(Tc - z[p] * eye)
     R_m = np.block([[R_s[n:, n:], -R_s[n:, :n]], [-R_s[:n, n:], R_s[:n, :n]]])
     defect = abs(w[sentinel]) * np.abs(R_p - R_m.conj()).max()
+    _log.debug("quadrature: %d nodes, %d lead nodes, %d workers, "
+               "sentinel defect %.3e", z.size, lead.size, workers, defect)
     if defect > 1e-6 * max(np.abs(top).max(), 1.0):
         raise ValueError(f"quadrature round-off check: defect {defect:.3e}")
     A, B = top[:, :n], top[:, n:]

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .quaternion import Quaternion, Sphere, circularize, slice_embed, sphere_of
 from .qmatrix import QMatrix, _slice_matrix, chi, chi_inv, op_norm
@@ -113,7 +112,7 @@ def point_spectrum(T: QMatrix, tol: float = 1e-8) -> SphericalSpectrum:
     spheres, dims = [], []
     for sp in spec.spheres:
         D = delta(T, slice_embed(sp))
-        sv = scipy.linalg.svdvals(chi(D))
+        sv = np.linalg.svd(chi(D), compute_uv=False)
         kdim_c = int(np.count_nonzero(sv <= tol * scale ** 2))
         kdim = kdim_c // 2  # quaternionic kernel dimension
         if kdim > 0:

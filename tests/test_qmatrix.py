@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
 from quatcalc.quaternion import Quaternion, UNIT_I, qmul
@@ -92,6 +98,34 @@ def test_op_norm_of_slice_valued_matrix_matches_chi(r, c, u, seed):
     assert np.iscomplexobj(Z) == bool(u)
     ref = _chi_norm(T)
     assert abs(op_norm(T) - ref) <= 1e-13 * ref
+
+
+@settings(max_examples=80, deadline=None)
+@given(r=st.integers(1, 9), c=st.integers(1, 9), parts=st.sampled_from([1, 2, 4]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_op_norm_matches_scipy_svdvals(r, c, parts, seed):
+    """numpy's SVD gives scipy's largest singular value of chi(T), for real
+    (parts = 1) and C_i (2) slice-valued T and general quaternionic T (4)."""
+    e = np.zeros((r, c, 4))
+    e[..., :parts] = np.random.default_rng(seed).standard_normal((r, c, parts))
+    T = QMatrix(e)
+    assert (_slice_matrix(T) is None) == (parts == 4)
+    ref = scipy.linalg.svdvals(chi(T))[0]
+    assert abs(op_norm(T) - ref) <= 1e-14 * ref
+
+
+def test_import_loads_no_scipy_linalg():
+    """Hot paths use numpy's LAPACK only, so one BLAS library is loaded."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, quatcalc; print('scipy.linalg' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def _with_entries(shape, cells) -> QMatrix:

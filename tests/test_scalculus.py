@@ -1,3 +1,7 @@
+import logging
+import multiprocessing
+import queue
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -9,6 +13,7 @@ from quatcalc.quaternion import (
     Sphere,
 )
 from quatcalc.qmatrix import QMatrix, chi, chi_inv, op_norm
+from quatcalc import scalculus
 from quatcalc.discretize import paper_example
 from quatcalc.scalculus import (
     Circle,
@@ -359,3 +364,70 @@ def test_projection_accuracy_on_fragile_nonnormal_example():
     c = build_contour(spheres[:1], spheres[1:])
     P = riesz_projection(T, c)
     assert op_norm(P @ P - P) <= 1e-6
+
+
+def _square(q):
+    return q * q + q * Quaternion(0.0, 0.3, -0.2, 0.7)
+
+
+def _quadrature_results(T, contour):
+    return [riesz_projection(T, contour).entries,
+            func_calc(_square, "left", T, contour).entries,
+            func_calc(_square, "right", T, contour).entries]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_quadrature_is_bitwise_independent_of_the_worker_count(
+        rng, monkeypatch, workers):
+    """Fixed chunks summed in chunk order: any pool size, the same bits."""
+    T = _nonnormal(rng)
+    spec = spherical_spectrum(T)
+    c = build_contour(spec.spheres[:2], spec.spheres[2:],
+                      m=ImaginaryUnit.normalized(1.0, -2.0, 0.5))
+    E = QMatrix(rng.standard_normal((5, 5, 4)))
+    T_odd = QMatrix.eye(5) * 0.7 + E * (0.2 / op_norm(E))
+    cases = [(T, c), (T_odd, _ODD_CONTOUR)]
+    default = [_quadrature_results(*case) for case in cases]
+    monkeypatch.setattr(scalculus, "_worker_count", lambda: workers)
+    for case, ref in zip(cases, default):
+        for got, want in zip(_quadrature_results(*case), ref):
+            assert np.array_equal(got, want)
+
+
+def test_riesz_projection_runs_in_a_forked_child(rng):
+    """A pool made per call works after fork; a module-level one would hang."""
+    T = _nonnormal(rng)
+    spec = spherical_spectrum(T)
+    c = build_contour(spec.spheres[:1], spec.spheres[1:])
+    P = riesz_projection(T, c, spec)
+    ctx = multiprocessing.get_context("fork")
+    out = ctx.Queue()
+    child = ctx.Process(
+        target=lambda: out.put(riesz_projection(T, c, spec).entries))
+    child.start()
+    try:
+        got = out.get(timeout=30)
+    except queue.Empty:
+        pytest.fail("riesz_projection did not finish in a forked child")
+    finally:
+        child.join(30)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert child.exitcode == 0
+    assert np.array_equal(got, P.entries)
+
+
+def test_quadrature_logs_its_sentinel_defect(rng, caplog):
+    T = _nonnormal(rng)
+    spec = spherical_spectrum(T)
+    c = build_contour(spec.spheres[:1], spec.spheres[1:], nodes=64)
+    with caplog.at_level(logging.DEBUG, logger="quatcalc"):
+        riesz_projection(T, c, spec)
+    (rec,) = [r for r in caplog.records if r.name == "quatcalc"]
+    assert rec.levelno == logging.DEBUG
+    z, _, partner = c.slice_nodes()
+    lead = int(np.count_nonzero(np.arange(z.size) <= partner))
+    workers = min(scalculus._worker_count(), scalculus._CHUNKS, lead)
+    assert rec.args[:3] == (z.size, lead, workers)
+    assert 0.0 <= rec.args[3] <= 1e-12
