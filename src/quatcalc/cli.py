@@ -123,6 +123,7 @@ def cmd_spectrum(args) -> int:
     for s, mult in zip(spec.spheres, spec.multiplicities):
         rep = s.to_json()
         q = delta(T, slice_embed(s))
+        # sigma_min stays on SVD: a Gram matrix would square its conditioning
         sv = np.linalg.svd(chi(q), compute_uv=False)
         entries.append({"re": rep["re"], "rad": rep["rad"], "mult": mult,
                         "delta_min_sv": float(sv[-1])})

@@ -19,8 +19,8 @@ Slice-valued T, whose entries all lie in one slice C_u (at most one of the
 three imaginary components is nonzero anywhere), take a shortcut: chi(T) is
 unitarily similar to Z (+) conj(Z), where Z = w + i*c_u is n x m (real when
 T is real; Zhang, "Quaternions and matrices of quaternions", LAA 1997).
-``op_norm`` and the spectrum take their SVD and eigenvalues from Z, which
-has a quarter of the entries of chi(T).
+``op_norm`` (the largest eigenvalue of a Gram matrix) and the spectrum
+factor Z, which has a quarter of the entries of chi(T).
 """
 
 from __future__ import annotations
@@ -292,14 +292,35 @@ def _slice_matrix(T: QMatrix) -> np.ndarray | None:
 def op_norm(T: QMatrix) -> float:
     """Operator norm sup{|Tx| : |x| <= 1} = largest singular value of chi(T).
 
-    For slice-valued T this is the largest singular value of the n x m
-    ``_slice_matrix`` Z, since chi(T) is unitarily similar to Z (+) conj(Z).
+    M is the n x m ``_slice_matrix`` Z for slice-valued T (chi(T) is
+    unitarily similar to Z (+) conj(Z)) and chi(T) otherwise.  With
+    s = max|M| and X = M / s, ||T|| = s * sqrt(lambda_max(G)) for the
+    Hermitian Gram matrix G = X* X (X X* when M has fewer rows than columns),
+    found by one ``eigvalsh``.  Scaling to unit entries keeps G clear of
+    overflow and underflow.  By Weyl's inequality the computed lambda_max is
+    off by about eps * ||G|| = eps * ||X||^2, so sigma_max keeps full
+    relative accuracy.  Callers that need the smallest singular value (point
+    spectrum, kernel and range bases) must keep an SVD: the Gram matrix
+    squares its condition number.  A non-finite entry raises ``ValueError``.
     """
     if T.rows == 0 or T.cols == 0:
         return 0.0
-    Z = _slice_matrix(T)
-    s = np.linalg.svd(chi(T) if Z is None else Z, compute_uv=False)
-    return float(s[0]) if s.size else 0.0
+    with np.errstate(invalid="ignore"):  # inf * 1j; reported below
+        M = _slice_matrix(T)
+        if M is None:
+            M = chi(T)
+    s = float(np.abs(M).max())
+    if not math.isfinite(s):
+        r, c = np.argwhere(~np.isfinite(T.entries))[0][:2]
+        raise ValueError(f"operator norm of a matrix with a non-finite entry "
+                         f"{T.entries[r, c].tolist()} at ({r}, {c})")
+    if s == 0.0:
+        return 0.0
+    X = M / s
+    del M
+    G = X.conj().T @ X if X.shape[0] >= X.shape[1] else X @ X.conj().T
+    del X
+    return s * math.sqrt(max(float(np.linalg.eigvalsh(G)[-1]), 0.0))
 
 
 def positive_sqrt(T: QMatrix, tol: float = 1e-10) -> QMatrix:

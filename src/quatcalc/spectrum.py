@@ -112,6 +112,7 @@ def point_spectrum(T: QMatrix, tol: float = 1e-8) -> SphericalSpectrum:
     spheres, dims = [], []
     for sp in spec.spheres:
         D = delta(T, slice_embed(sp))
+        # sigma_min stays on SVD: a Gram matrix would square its conditioning
         sv = np.linalg.svd(chi(D), compute_uv=False)
         kdim_c = int(np.count_nonzero(sv <= tol * scale ** 2))
         kdim = kdim_c // 2  # quaternionic kernel dimension

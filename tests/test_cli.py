@@ -54,6 +54,16 @@ def test_spectrum_rejects_malformed_json(tmp_path):
     assert main(["spectrum", "--input", str(p)]) == 2
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_spectrum_rejects_non_finite_entry(tmp_path, capsys, bad):
+    e = np.eye(2)[..., None] * np.array([1.0, 0, 0, 0])
+    e[0, 1, 2] = bad
+    p = tmp_path / "bad.json"
+    _write_matrix(p, QMatrix(e))
+    assert main(["spectrum", "--input", str(p)]) == 2
+    assert "non-finite entry" in capsys.readouterr().err
+
+
 def test_riesz_command(diag_ij3, tmp_path):
     out = tmp_path / "riesz.json"
     rc = main(["riesz", "--input", str(diag_ij3),

@@ -104,8 +104,9 @@ def test_op_norm_of_slice_valued_matrix_matches_chi(r, c, u, seed):
 @given(r=st.integers(1, 9), c=st.integers(1, 9), parts=st.sampled_from([1, 2, 4]),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_op_norm_matches_scipy_svdvals(r, c, parts, seed):
-    """numpy's SVD gives scipy's largest singular value of chi(T), for real
-    (parts = 1) and C_i (2) slice-valued T and general quaternionic T (4)."""
+    """The Gram matrix's largest eigenvalue gives scipy's largest singular
+    value of chi(T), for real (parts = 1) and C_i (2) slice-valued T and
+    general quaternionic T (4)."""
     e = np.zeros((r, c, 4))
     e[..., :parts] = np.random.default_rng(seed).standard_normal((r, c, parts))
     T = QMatrix(e)
@@ -148,6 +149,50 @@ def test_op_norm_falls_back_to_chi_across_slices(T):
 def test_op_norm_of_zero_and_empty_matrices():
     assert op_norm(QMatrix.zeros(3, 2)) == 0.0
     assert op_norm(QMatrix.zeros(0, 4)) == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=st.integers(1, 9), c=st.integers(1, 9), u=st.sampled_from([0, 1, 2, 3, 4]),
+       seed=st.integers(0, 2 ** 32 - 1), scale=st.sampled_from([1e-200, 1e200]))
+def test_op_norm_is_scale_equivariant(r, c, u, seed, scale):
+    """||cT|| = c||T|| far beyond the range where an unscaled Gram matrix
+    would underflow to 0 or overflow to inf: real (u = 0), C_u (1-3) and
+    general quaternionic (4) T."""
+    rng = np.random.default_rng(seed)
+    e = np.zeros((r, c, 4))
+    e[..., 0] = rng.standard_normal((r, c))
+    if u == 4:
+        e[..., 1:] = rng.standard_normal((r, c, 3))
+    elif u:
+        e[..., u] = rng.standard_normal((r, c))
+    norm = op_norm(QMatrix(e))
+    assert abs(op_norm(QMatrix(scale * e)) - scale * norm) <= 1e-14 * scale * norm
+
+
+@pytest.mark.parametrize("q, parts", [
+    ([1e300, 0, 0, 0], [0]),
+    ([6e299, 0, 8e299, 0], [0, 2]),
+    ([5e299, 5e299, 5e299, 5e299], [0, 1, 2, 3]),
+], ids=["real", "C_j", "general"])
+def test_op_norm_of_a_single_huge_entry(q, parts):
+    """One entry of modulus 1e300 among O(1) entries of the same slice:
+    ||T|| = 1e300 to round-off, where an unscaled Gram matrix is inf."""
+    e = np.zeros((4, 5, 4))
+    e[..., parts] = np.random.default_rng(3).standard_normal((4, 5, len(parts)))
+    e[2, 1] = q
+    T = QMatrix(e)
+    assert (_slice_matrix(T) is None) == (len(parts) == 4)
+    assert abs(op_norm(T) - 1e300) <= 1e-14 * 1e300
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("parts", [1, 4], ids=["real", "general"])
+def test_op_norm_rejects_non_finite_entries(bad, parts):
+    e = np.zeros((3, 4, 4))
+    e[..., :parts] = np.random.default_rng(5).standard_normal((3, 4, parts))
+    e[1, 2, parts - 1] = bad
+    with pytest.raises(ValueError, match=r"non-finite entry .* at \(1, 2\)"):
+        op_norm(QMatrix(e))
 
 
 def test_chi_inv_rejects_incompatible_matrix():
