@@ -241,8 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--input", help="QMatrix JSON file")
     sp.add_argument("--partition", required=True,
                     help='sigma spheres as "re,rad;re,rad;..."')
-    sp.add_argument("--nodes", type=int, default=128,
-                    help="quadrature nodes per circle (default 128)")
+    sp.add_argument("--nodes", type=int, default=16,
+                    help="minimum nodes per circle; default: the "
+                         "analyticity ratio and the enclosed multiplicity")
     common(sp)
     tolerance_flags(sp)
     sp.set_defaults(func=cmd_riesz)

@@ -4,6 +4,15 @@ The integrals of the calculus are taken over the boundary of an axially
 symmetric domain intersected with a slice C_m.  Here the boundary is a union
 of circles centered on the real axis; the composite trapezoid rule on each
 circle is spectrally accurate for the analytic integrands that occur.
+Its error has two terms.  The analytic part decays like rho^-N in the N
+nodes per circle, where rho > 1 is the ratio of the widest annulus about the
+circle free of spectral traces; ``build_contour`` takes
+N = ceil(-log(eps)/log rho) for the unit round-off eps.  And about its
+center c the rule integrates (s - c)^p exactly only when p + 1 is 0 or not
+a multiple of N: an enclosed eigenvalue of quaternionic multiplicity k is a
+resolvent pole of order up to k, whose term p = -1 - N aliases when N < k.
+So the quadrature raises N to the total multiplicity a circle encloses
+when that is larger.
 
 With the counterclockwise parametrization s(t) = c + r e^{mt} one has
 ds = m r e^{mt} dt and ds_m = -ds*m = r e^{mt} dt, so each quadrature node
@@ -42,7 +51,7 @@ import logging
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -83,6 +92,14 @@ _log = logging.getLogger("quatcalc")
 # Lead nodes are split into this many contiguous chunks whatever the core
 # count, so the summation order, and hence every bit of the result, is fixed.
 _CHUNKS = 8
+
+# fewest trapezoid nodes per circle; node counts are multiples of it
+_MIN_NODES = 16
+
+
+def _round_nodes(k: float) -> int:
+    """The multiple of _MIN_NODES at or above k."""
+    return _MIN_NODES * int(math.ceil(k / _MIN_NODES))
 
 
 def _worker_count() -> int:
@@ -151,8 +168,9 @@ class Contour:
     nodes_per_circle: int = 128
 
     def __post_init__(self):
-        if self.nodes_per_circle < 16:
-            raise ValueError("at least 16 nodes per circle are required")
+        if self.nodes_per_circle < _MIN_NODES:
+            raise ValueError(
+                f"at least {_MIN_NODES} nodes per circle are required")
         if not self.circles:
             raise ValueError("contour needs at least one circle")
 
@@ -211,15 +229,24 @@ def _pair_distance(a_re, a_h, b_re, b_h) -> float:
 
 
 def build_contour(sigma, other=(), m: ImaginaryUnit = UNIT_I,
-                  nodes: int = 128) -> Contour:
+                  nodes: int = _MIN_NODES) -> Contour:
     """Deterministic circle system enclosing sigma's slice traces only.
 
     One circle (pair) per sigma sphere, centered at its trace points
     (re, +-rad); the radius is 0.45 times the distance to the nearest other
     trace, so circles are pairwise disjoint and every quadrature node sits
-    in an analyticity annulus of ratio >= 1/0.45.  Raises
-    ``SeparationError`` when sigma and other cannot be separated.
+    in an analyticity annulus of ratio rho >= 1/0.45.  The trapezoid error
+    of the analytic part decays like rho^-N, so the node count per circle
+    is N = ceil(-log(eps)/log rho) for the unit round-off eps (48 at
+    rho = 1/0.45), rounded up to a multiple of 16 and capped at 4096;
+    ``nodes`` is a floor under it.  The aliasing of an enclosed pole of
+    order k, exact only for N >= k, depends on T and is handled by the
+    quadrature.  Raises ``SeparationError`` when sigma and other cannot be
+    separated, and ``ValueError`` for ``nodes`` below 16.
     """
+    if nodes < _MIN_NODES:
+        raise ValueError(
+            f"at least {_MIN_NODES} nodes per circle are required")
     sigma = sorted(set(sigma))
     other = sorted(set(other))
     if not sigma:
@@ -257,8 +284,7 @@ def build_contour(sigma, other=(), m: ImaginaryUnit = UNIT_I,
         circles.append(Circle(s.re, 0.45 * d_all, height=s.rad))
 
     # Trapezoid error on a circle decays like rho^-N with rho set by the
-    # nearest spectral trace (inside or outside); raise the node count when
-    # the geometry leaves a thin analyticity annulus.
+    # nearest spectral trace (inside or outside); take N for round-off.
     rho = math.inf
     for c in circles:
         for t in sigma + other:
@@ -271,8 +297,10 @@ def build_contour(sigma, other=(), m: ImaginaryUnit = UNIT_I,
     if rho <= 1.0 + 1e-9:
         raise SeparationError("a spectral sphere lies on the contour")
     if math.isfinite(rho):
-        needed = int(math.ceil(math.log(1e12) / math.log(rho)))
-        nodes = max(nodes, min(4096, 16 * int(math.ceil(needed / 16))))
+        needed = -math.log(np.finfo(float).eps) / math.log(rho)
+        nodes = max(nodes, min(4096, _round_nodes(needed)))
+    _log.debug("contour: %d circles, rho %.4g, %d nodes per circle",
+               len(circles), rho, nodes)
 
     contour = Contour(m=m, circles=tuple(circles), nodes_per_circle=nodes)
     for s in sigma:
@@ -318,10 +346,17 @@ def _quadrature(f, side: str, T: QMatrix, contour: Contour,
     on a per-call thread pool; their partners' R is its block mirror.  A
     sentinel checks the round-off: the mirror at the lead node nearest the
     spectrum against an independent inverse at its partner.  A proximity
-    guard refuses nodes near the spectrum first.
+    guard refuses nodes near the spectrum first.  A circle enclosing
+    spheres of total multiplicity k > N takes k nodes, rounded up to a
+    multiple of 16, so that no enclosed pole aliases.
     """
     spec = spherical_spectrum(T) if spectrum is None else spectrum
     scale = max(op_norm(T), 1.0)
+    given = contour.nodes_per_circle
+    poles = max(sum(k for sp, k in zip(spec.spheres, spec.multiplicities)
+                    if c.contains(sp.re, sp.rad)) for c in contour.circles)
+    if poles > given:
+        contour = replace(contour, nodes_per_circle=_round_nodes(poles))
     z, w, partner = contour.slice_nodes()
     traces = np.array([(sp.re, sp.rad) for sp in spec.spheres])
     dist = np.hypot(z.real[:, None] - traces[:, 0],
@@ -386,7 +421,10 @@ def _quadrature(f, side: str, T: QMatrix, contour: Contour,
     R_m = np.block([[R_s[n:, n:], -R_s[n:, :n]], [-R_s[:n, n:], R_s[:n, :n]]])
     defect = abs(w[sentinel]) * np.abs(R_p - R_m.conj()).max()
     _log.debug("quadrature: %d nodes, %d lead nodes, %d workers, "
-               "sentinel defect %.3e", z.size, lead.size, workers, defect)
+               "sentinel defect %.3e, %d nodes per circle (%s)", z.size,
+               lead.size, workers, defect, contour.nodes_per_circle,
+               f"raised from {given}: pole order up to {poles}"
+               if poles > given else "as built")
     if defect > 1e-6 * max(np.abs(top).max(), 1.0):
         raise ValueError(f"quadrature round-off check: defect {defect:.3e}")
     A, B = top[:, :n], top[:, n:]
@@ -462,7 +500,7 @@ class RieszPair:
     residuals: dict = field(default_factory=dict)
 
 
-def riesz_decompose(T: QMatrix, sigma, tau=None, nodes: int = 128,
+def riesz_decompose(T: QMatrix, sigma, tau=None, nodes: int = _MIN_NODES,
                     m: ImaginaryUnit = UNIT_I,
                     match_tol: float = 1e-8) -> RieszPair:
     """Riesz projections for a partition of the spherical spectrum.

@@ -68,6 +68,10 @@ def delta(T: QMatrix, q: Quaternion) -> QMatrix:
     return T @ T - (2.0 * q.re) * T + QMatrix.real_scalar(n, q.norm_sq())
 
 
+# complex entries per block of spherical_spectrum's eigenvalue-sphere table
+_ASSIGN_BLOCK = 1 << 18
+
+
 def _chi_eigenvalues(T: QMatrix) -> np.ndarray:
     """Eigenvalues of chi(T); eig(Z) and their conjugates for slice-valued T."""
     Z = _slice_matrix(T)
@@ -80,11 +84,16 @@ def _chi_eigenvalues(T: QMatrix) -> np.ndarray:
 def spherical_spectrum(T: QMatrix, tol: float = 1e-9) -> SphericalSpectrum:
     """Spheres where Delta_q(T) fails to be invertible.
 
-    Computed from the eigenvalues of chi(T); quaternionic multiplicity counts
-    eigenvalues in the open upper half plane, and half the (doubled) complex
-    multiplicity for real eigenvalues.  When every entry of T lies in one
-    slice C_u, the eigenvalues of chi(T) are those of the n x n matrix
-    Z = w + i*c_u and their conjugates, so only Z is factored.
+    Computed from the eigenvalues of chi(T), which come in conjugate pairs:
+    each pair is one quaternionic eigenvalue.  Every chi eigenvalue is
+    counted once, at the sphere nearest its (re, |im|), and a sphere's
+    quaternionic multiplicity is half its count.  A pair that jitter splits
+    between two spheres (defective T) leaves both with an odd count; the
+    extra half goes to the sphere more of whose eigenvalues lie above the
+    real axis, so the multiplicities sum to n, and a sphere left with none
+    is dropped.  When every entry of T lies in one slice C_u, the
+    eigenvalues of chi(T) are those of the n x n matrix Z = w + i*c_u and
+    their conjugates, so only Z is factored.
     """
     if not T.is_square:
         raise ValueError("spectrum requires a square matrix")
@@ -93,16 +102,23 @@ def spherical_spectrum(T: QMatrix, tol: float = 1e-9) -> SphericalSpectrum:
     # force exact conjugation symmetry before circularizing
     sym = np.concatenate([eigs, eigs.conj()])
     spheres = sorted(circularize(sym, tol=tol * scale))
-    mults = []
-    for sp in spheres:
-        z = complex(sp.re, sp.rad)
-        near = np.abs(eigs - z) <= 10 * tol * scale
-        count = int(np.count_nonzero(near))
-        if sp.rad <= tol * scale:
-            # real sphere: chi doubles the multiplicity
-            count = max(count // 2, 1)
-        mults.append(count)
-    return SphericalSpectrum(tuple(spheres), tuple(mults))
+    if not spheres:  # 0 x 0 T
+        return SphericalSpectrum((), ())
+    centers = np.array([complex(sp.re, sp.rad) for sp in spheres])
+    pts = eigs.real + 1j * np.abs(eigs.imag)
+    rows = max(1, _ASSIGN_BLOCK // centers.size)
+    home = np.concatenate([
+        np.abs(pts[lo:lo + rows, None] - centers).argmin(axis=1)
+        for lo in range(0, pts.size, rows)])
+    count = np.bincount(home, minlength=centers.size)
+    lean = np.bincount(home, weights=np.sign(eigs.imag),
+                       minlength=centers.size)
+    odd = np.flatnonzero(count % 2)
+    mults = count // 2
+    mults[odd[np.argsort(-lean[odd], kind="stable")[:odd.size // 2]]] += 1
+    keep = np.flatnonzero(mults)
+    return SphericalSpectrum(tuple(spheres[k] for k in keep),
+                             tuple(int(mults[k]) for k in keep))
 
 
 def point_spectrum(T: QMatrix, tol: float = 1e-8) -> SphericalSpectrum:

@@ -77,6 +77,13 @@ def test_riesz_command(diag_ij3, tmp_path):
     assert P.rows == 2
 
 
+def test_riesz_below_minimum_nodes_is_input_error(diag_ij3, capsys):
+    rc = main(["riesz", "--input", str(diag_ij3), "--partition", "0,1",
+               "--nodes", "8"])
+    assert rc == 2
+    assert "at least 16 nodes" in capsys.readouterr().err
+
+
 def test_riesz_full_sigma_is_partition_error(diag_ij3):
     rc = main(["riesz", "--input", str(diag_ij3), "--partition", "0,1;3,0"])
     assert rc == 3

@@ -418,16 +418,93 @@ def test_riesz_projection_runs_in_a_forked_child(rng):
     assert np.array_equal(got, P.entries)
 
 
+def _jordan(n):
+    """The real n x n Jordan block at 0.5: one sphere, a pole of order n."""
+    return QMatrix.from_complex(0.5 * np.eye(n) + np.eye(n, k=1))
+
+
 def test_quadrature_logs_its_sentinel_defect(rng, caplog):
     T = _nonnormal(rng)
     spec = spherical_spectrum(T)
-    c = build_contour(spec.spheres[:1], spec.spheres[1:], nodes=64)
     with caplog.at_level(logging.DEBUG, logger="quatcalc"):
+        c = build_contour(spec.spheres[:1], spec.spheres[1:], nodes=64)
         riesz_projection(T, c, spec)
-    (rec,) = [r for r in caplog.records if r.name == "quatcalc"]
-    assert rec.levelno == logging.DEBUG
+    built, rec = [r for r in caplog.records if r.name == "quatcalc"]
+    assert built.levelno == rec.levelno == logging.DEBUG
+    assert built.args[0] == len(c.circles)
+    assert built.args[1] >= (1 - 1e-12) / 0.45
+    assert built.args[2] == c.nodes_per_circle == 64
     z, _, partner = c.slice_nodes()
     lead = int(np.count_nonzero(np.arange(z.size) <= partner))
     workers = min(scalculus._worker_count(), scalculus._CHUNKS, lead)
     assert rec.args[:3] == (z.size, lead, workers)
     assert 0.0 <= rec.args[3] <= 1e-12
+    assert rec.args[4:] == (64, "as built")
+    # a pole of order 24 at the center of a 16-node circle raises the count
+    T = _jordan(24)
+    spec = spherical_spectrum(T)
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="quatcalc"):
+        c = build_contour(spec.spheres)
+        riesz_projection(T, c, spec)
+    built, rec = [r for r in caplog.records if r.name == "quatcalc"]
+    assert built.args == (1, float("inf"), 16)
+    assert rec.args[0] == 32
+    assert rec.args[4:] == (32, "raised from 16: pole order up to 24")
+
+
+@pytest.mark.parametrize("n", [17, 24])
+def test_func_calc_on_a_jordan_block_does_not_alias(n):
+    """The N-point rule on a circle centered at a pole of order n integrates
+    the resolvent exactly only for N >= n: 16 nodes alias (error 5.2 at
+    n = 24), so the quadrature raises the count to the enclosed
+    multiplicity."""
+    T = _jordan(n)
+    spec = spherical_spectrum(T)
+    assert spec.multiplicities == (n,)
+    c = build_contour(spec.spheres)
+    assert c.nodes_per_circle == 16
+    F = func_calc(lambda q: q * q, "right", T, c, spec)
+    assert op_norm(F - T @ T) <= 1e-12 * op_norm(T @ T)
+
+
+_SPHERE_SETS = {
+    3: ((-1.0, 0.5), (0.5, 0.0), (1.2, 0.4)),
+    8: tuple((-1.5 + 0.42 * k, 0.0 if k % 2 == 0 else 0.3)
+             for k in range(8)),
+}
+
+
+@pytest.mark.parametrize("count", [3, 8])
+def test_node_count_rule_against_similarity_oracle(count):
+    """T = G D G^-1 with D diagonal on ``count`` spheres: the projection
+    onto the first sphere is G E G^-1, E selecting its rows of D.  The
+    rho rule's 48 nodes are as accurate as 256."""
+    n = 16
+    rng = np.random.default_rng(count)
+    spheres = _SPHERE_SETS[count]
+    labels = np.arange(n) % count
+    D = np.zeros((n, n, 4))
+    for r, k in enumerate(labels):
+        m = rng.standard_normal(3)
+        D[r, r, 0] = spheres[k][0]
+        D[r, r, 1:] = spheres[k][1] * m / np.linalg.norm(m)
+    G = chi(QMatrix.eye(n) + QMatrix(rng.standard_normal((n, n, 4)))
+            * (0.3 / np.sqrt(n)))
+    G_inv = np.linalg.inv(G)
+    T = chi_inv(G @ chi(QMatrix(D)) @ G_inv, tol=1e-10)
+    E = np.diag(np.tile(labels == 0, 2).astype(float))
+    P_ref = chi_inv(G @ E @ G_inv, tol=1e-10)
+    spec = spherical_spectrum(T)
+    sig = [s for s in spec.spheres if s.distance(Sphere(*spheres[0])) < 1e-8]
+    tau = [s for s in spec.spheres if s not in sig]
+    assert len(sig) == 1 and len(tau) == count - 1
+
+    def error(contour):
+        P = riesz_projection(T, contour, spec)
+        return op_norm(P - P_ref) / op_norm(P_ref)
+
+    default = build_contour(sig, tau)
+    assert default.nodes_per_circle == 48
+    assert build_contour(sig, tau, nodes=128).nodes_per_circle == 128
+    assert error(default) <= 4 * error(build_contour(sig, tau, nodes=256))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from quatcalc.discretize import grid_points, paper_example
@@ -140,3 +141,18 @@ def test_nonnormal_example_spectrum_matches_closed_form():
     assert got.shape == (n, 2)
     assert spec.multiplicities == (1,) * n
     assert np.abs(got - ref).max() <= 1e-14
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 8), defective=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_multiplicities_count_every_eigenvalue_once(n, defective, seed):
+    """Upper-triangular quaternionic T; a constant diagonal makes it
+    defective, and jitter splits its conjugate chi eigenvalue pairs."""
+    rng = np.random.default_rng(seed)
+    e = np.triu(rng.standard_normal((4, n, n)), 1).transpose(1, 2, 0)
+    e[range(n), range(n)] = (rng.standard_normal(4) if defective
+                             else rng.standard_normal((n, 4)))
+    spec = spherical_spectrum(QMatrix(e))
+    assert spec.total_multiplicity() == n
+    assert all(m >= 1 for m in spec.multiplicities)
