@@ -55,13 +55,9 @@ from .scalculus import (
     riesz_projection,
 )
 from .irreducibility import (
-    ReducibilityReport,
     StrongIrreducibilityReport,
-    commutant,
     complex_strongly_irreducible,
     extension_irreducibility_check,
-    find_idempotent,
-    is_reducible,
     is_strongly_irreducible,
 )
 from .discretize import (

@@ -1,9 +1,7 @@
-"""Reducibility and strong irreducibility of quaternionic matrices.
+"""Strong irreducibility of quaternionic matrices.
 
-An operator is reducible when some nontrivial self-adjoint idempotent
-commutes with both it and its adjoint (an invariant subspace whose
-orthogonal complement is also invariant).  It is strongly irreducible when
-no nontrivial idempotent at all -- self-adjoint or not -- commutes with it.
+An operator is strongly irreducible when no nontrivial idempotent --
+self-adjoint or not -- commutes with it.
 
 In finite dimension the structural criterion is sharp: T is strongly
 irreducible iff its spherical spectrum is a single similarity sphere and
@@ -11,7 +9,8 @@ the corresponding eigenspace of the complex adjoint matrix is minimal
 (one Jordan chain).  The decision below uses that criterion but always
 returns a certificate: either a witness idempotent, or the verified rank
 profile that precludes one.  A brute-force idempotent search over the
-commutant is provided separately as an independent oracle.
+commutant is kept as a private oracle for n <= 6 (``_ORACLE_MAX_N``): it
+works in all 4 n^2 real coordinates of X, so its cost grows as n^6.
 """
 
 from __future__ import annotations
@@ -26,123 +25,41 @@ from .spectrum import spherical_spectrum, SphericalSpectrum
 from .scalculus import riesz_decompose
 
 __all__ = [
-    "commutant",
-    "is_reducible",
     "is_strongly_irreducible",
-    "find_idempotent",
     "complex_strongly_irreducible",
     "extension_irreducibility_check",
     "StrongIrreducibilityReport",
-    "ReducibilityReport",
 ]
 
-
-def _chi_compatible_basis(n: int):
-    """Real basis of the chi image: M with J0 M = conj(M) J0.
-
-    Writing M = [[A, B], [-conj(B), conj(A)]], the free parameters are the
-    complex entries of A and B, i.e. 4 n^2 real degrees of freedom.  Returns
-    a function embedding a real coefficient vector into a 2n x 2n complex
-    matrix and the dimension.
-    """
-    dim = 4 * n * n
-
-    def embed(x: np.ndarray) -> np.ndarray:
-        A = (x[0:n * n] + 1j * x[n * n:2 * n * n]).reshape(n, n)
-        B = (x[2 * n * n:3 * n * n] + 1j * x[3 * n * n:4 * n * n]).reshape(n, n)
-        M = np.zeros((2 * n, 2 * n), dtype=complex)
-        M[:n, :n] = A
-        M[:n, n:] = B
-        M[n:, :n] = -B.conj()
-        M[n:, n:] = A.conj()
-        return M
-
-    def project(M: np.ndarray) -> np.ndarray:
-        A = M[:n, :n]
-        B = M[:n, n:]
-        return np.concatenate([A.real.ravel(), A.imag.ravel(),
-                               B.real.ravel(), B.imag.ravel()])
-
-    return embed, project, dim
+# largest n for the dense commutant oracle: its real system is 4n^2 x 4n^2
+_ORACLE_MAX_N = 6
 
 
-def commutant(T: QMatrix, tol: float = 1e-10) -> list[QMatrix]:
+def _commutant(T: QMatrix) -> list[QMatrix]:
     """Real-orthonormal basis of {X : XT = TX} as quaternionic matrices.
 
-    The commutator map is real-linear in the 4 n^2 real coordinates of X;
-    its nullspace is found by SVD.
+    The commutator X -> XT - TX is real-linear in the 4 n^2 real coordinates
+    of X, ordered as the w, x, y and z blocks of the entries.  Column k of
+    its matrix is the commutator of the k-th unit quaternion matrix; the
+    nullspace is found by SVD.  Raises ``ValueError`` for n > _ORACLE_MAX_N.
     """
     if not T.is_square:
         raise ValueError("commutant requires a square matrix")
     n = T.rows
-    embed, project, dim = _chi_compatible_basis(n)
-    Tc = chi(T)
-    scale = max(np.linalg.norm(Tc, 2), 1.0)
+    if n > _ORACLE_MAX_N:
+        raise ValueError(f"the commutant oracle is limited to n <= "
+                         f"{_ORACLE_MAX_N}, got n = {n}")
+    dim = 4 * n * n
+    scale = max(op_norm(T), 1.0)
     rows = np.empty((dim, dim))
     for k in range(dim):
         e = np.zeros(dim)
         e[k] = 1.0
-        M = embed(e)
-        C = M @ Tc - Tc @ M
-        rows[:, k] = project(C)
-    U, sv, Vt = np.linalg.svd(rows)
-    null = [Vt[i] for i in range(dim) if sv[i] <= tol * scale]
-    return [chi_inv(embed(v), tol=1e-8) for v in null]
-
-
-@dataclass(frozen=True)
-class ReducibilityReport:
-    reducible: bool
-    witness: QMatrix | None
-    residuals: dict = field(default_factory=dict)
-
-
-def is_reducible(T: QMatrix, tol: float = 1e-8) -> ReducibilityReport:
-    """Search the joint commutant of {T, T*} for a nontrivial projection.
-
-    Any non-scalar self-adjoint element X of that commutant yields one: a
-    spectral projection of X commutes with both T and T* and is nontrivial.
-    """
-    if not T.is_square:
-        raise ValueError("reducibility requires a square matrix")
-    n = T.rows
-    embed, project, dim = _chi_compatible_basis(n)
-    Tc = chi(T)
-    scale = max(np.linalg.norm(Tc, 2), 1.0)
-    rows = np.empty((2 * dim, dim))
-    for k in range(dim):
-        e = np.zeros(dim)
-        e[k] = 1.0
-        M = embed(e)
-        rows[:dim, k] = project(M @ Tc - Tc @ M)
-        rows[dim:, k] = project(M @ Tc.conj().T - Tc.conj().T @ M)
-    U, sv, Vt = np.linalg.svd(rows, full_matrices=True)
-    null = [Vt[i] for i in range(dim) if i >= len(sv) or sv[i] <= tol * scale]
-    for v in null:
-        M = embed(v)
-        H = 0.5 * (M + M.conj().T)
-        # strip the scalar part; what remains still commutes with T and T*
-        H = H - (np.trace(H).real / (2 * n)) * np.eye(2 * n)
-        if np.linalg.norm(H, 2) <= tol * max(np.linalg.norm(M, 2), 1.0):
-            continue
-        w, V = np.linalg.eigh(H)
-        # spectral projection onto the eigenvalues above the median gap
-        gaps = np.diff(w)
-        cut = int(np.argmax(gaps)) + 1
-        if cut <= 0 or cut >= 2 * n:
-            continue
-        Pc = V[:, cut:] @ V[:, cut:].conj().T
-        P = chi_inv(Pc, tol=1e-8)
-        res = {
-            "idempotent": op_norm(P @ P - P),
-            "self_adjoint": op_norm(P - P.adjoint()),
-            "commutes_T": op_norm(P @ T - T @ P) / scale,
-            "commutes_Tstar": op_norm(
-                P @ T.adjoint() - T.adjoint() @ P) / scale,
-        }
-        if max(res.values()) <= 100 * tol:
-            return ReducibilityReport(True, P, res)
-    return ReducibilityReport(False, None, {})
+        X = QMatrix(e.reshape(4, n, n).transpose(1, 2, 0))
+        rows[:, k] = (X @ T - T @ X).entries.transpose(2, 0, 1).ravel()
+    _, sv, Vt = np.linalg.svd(rows)
+    return [QMatrix(v.reshape(4, n, n).transpose(1, 2, 0))
+            for v, s in zip(Vt, sv) if s <= 1e-10 * scale]
 
 
 @dataclass(frozen=True)
@@ -196,6 +113,10 @@ def is_strongly_irreducible(T: QMatrix,
     cluster_tol = scale * float(np.finfo(float).eps) ** (1.0 / (T.rows + 1))
     groups = cluster_spheres(spec.spheres, cluster_tol)
 
+    if not groups:
+        return StrongIrreducibilityReport(
+            "indeterminate", None, spec,
+            {"reason": "a 0 x 0 matrix has no spectrum to decide on"})
     if len(groups) >= 2:
         # witness: Riesz projection of a proper spectral part
         pair = riesz_decompose(T, groups[0])
@@ -233,7 +154,6 @@ def is_strongly_irreducible(T: QMatrix,
              "smallest_kept_sv": kept, "largest_rejected_sv": rejected})
 
     # single sphere but a split eigenspace: exhibit an idempotent.
-    E = None
     route = "eigenbasis"
     try:
         lam, U = normal_eigensystem(T)
@@ -242,8 +162,14 @@ def is_strongly_irreducible(T: QMatrix,
         E = U @ QMatrix.diag(picks) @ U.adjoint()
     except Exception:
         route = "search"
-        E = find_idempotent(T, tol=tol)
     detail = {"route": route, "kernel_dim": dim, "minimal_dim": minimal}
+    if route == "search":
+        if T.rows > _ORACLE_MAX_N:
+            return StrongIrreducibilityReport(
+                "indeterminate", None, spec,
+                dict(detail, note=f"no eigenbasis, and the witness search "
+                                  f"is limited to n <= {_ORACLE_MAX_N}"))
+        E = _find_idempotent(T)
     if E is not None:
         detail["residuals"] = {
             "idempotent": op_norm(E @ E - E),
@@ -269,11 +195,15 @@ def complex_strongly_irreducible(S: np.ndarray, tol: float = 1e-8) -> bool:
         raise ValueError("square matrix required")
     w = np.linalg.eigvals(S)
     scale = max(np.linalg.norm(S, 2), 1.0)
-    if np.ptp(w.real) > tol * scale or np.ptp(w.imag) > tol * scale:
-        return False
+    # a size-k Jordan block's computed eigenvalues spread by about
+    # eps^(1/k): judge the spread and the rank at that resolution, as
+    # is_strongly_irreducible does
+    cluster_tol = scale * float(np.finfo(float).eps) ** (1.0 / (n + 1))
     lam = w.mean()
+    if np.abs(w - lam).max() > cluster_tol:
+        return False
     sv = np.linalg.svd(S - lam * np.eye(n), compute_uv=False)
-    gdim = int(np.count_nonzero(sv <= tol * scale))
+    gdim = int(np.count_nonzero(sv <= max(tol * scale, cluster_tol)))
     return gdim <= 1
 
 
@@ -303,8 +233,7 @@ def extension_irreducibility_check(Sp: np.ndarray, J: QMatrix,
     }
 
 
-def find_idempotent(T: QMatrix, tol: float = 1e-8, seed: int = 0,
-                    starts: int = 64, max_iter: int = 200) -> QMatrix | None:
+def _find_idempotent(T: QMatrix, seed: int = 0) -> QMatrix | None:
     """Brute-force search for a nontrivial idempotent commuting with T.
 
     Damped Newton iteration for E^2 = E inside the commutant of T: the
@@ -313,9 +242,10 @@ def find_idempotent(T: QMatrix, tol: float = 1e-8, seed: int = 0,
     the search deterministic.  Returns None if every start collapses to a
     trivial fixed point (0 or the identity) -- evidence, not proof, of
     strong irreducibility; in finite dimension the structural rank test
-    in :func:`is_strongly_irreducible` is the sharp criterion.
+    in :func:`is_strongly_irreducible` is the sharp criterion.  64 starts
+    of at most 200 Newton steps each; n <= _ORACLE_MAX_N only.
     """
-    basis = commutant(T)
+    basis = _commutant(T)
     d = len(basis)
     if d <= 1:
         return None  # commutant is scalars only
@@ -333,10 +263,10 @@ def find_idempotent(T: QMatrix, tol: float = 1e-8, seed: int = 0,
 
     rng = np.random.default_rng(seed)
     eye = np.eye(2 * n)
-    for _ in range(starts):
+    for _ in range(64):
         x = rng.standard_normal(d)
         x /= np.linalg.norm(x)
-        for _ in range(max_iter):
+        for _ in range(200):
             E = to_matrix(x)
             F = E @ E - E
             r = np.linalg.norm(F)

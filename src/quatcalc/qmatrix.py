@@ -91,11 +91,6 @@ class QMatrix:
         return QMatrix(e)
 
     @staticmethod
-    def from_quaternions(rows) -> "QMatrix":
-        data = [[_as_quat(v).to_array() for v in row] for row in rows]
-        return QMatrix(np.array(data, dtype=float))
-
-    @staticmethod
     def from_complex(M: np.ndarray) -> "QMatrix":
         """Entrywise embedding of a complex matrix into the slice C_i."""
         M = np.asarray(M, dtype=complex)
@@ -297,9 +292,10 @@ def op_norm(T: QMatrix) -> float:
     s = max|M| and X = M / s, ||T|| = s * sqrt(lambda_max(G)) for the
     Hermitian Gram matrix G = X* X (X X* when M has fewer rows than columns),
     found by one ``eigvalsh``.  Scaling to unit entries keeps G clear of
-    overflow and underflow.  By Weyl's inequality the computed lambda_max is
-    off by about eps * ||G|| = eps * ||X||^2, so sigma_max keeps full
-    relative accuracy.  Callers that need the smallest singular value (point
+    overflow and underflow (a subnormal s is first raised by 2^600, exactly,
+    since a complex M / s would overflow).  By Weyl's inequality the
+    computed lambda_max is off by about eps * ||G|| = eps * ||X||^2, so
+    sigma_max keeps full relative accuracy.  Callers that need the smallest singular value (point
     spectrum, kernel and range bases) must keep an SVD: the Gram matrix
     squares its condition number.  A non-finite entry raises ``ValueError``.
     """
@@ -316,11 +312,17 @@ def op_norm(T: QMatrix) -> float:
                          f"{T.entries[r, c].tolist()} at ({r}, {c})")
     if s == 0.0:
         return 0.0
+    shift = 0
+    if s < np.finfo(float).tiny:
+        shift = 600
+        M = M * 2.0 ** shift
+        s = float(np.abs(M).max())
     X = M / s
     del M
     G = X.conj().T @ X if X.shape[0] >= X.shape[1] else X @ X.conj().T
     del X
-    return s * math.sqrt(max(float(np.linalg.eigvalsh(G)[-1]), 0.0))
+    return math.ldexp(
+        s * math.sqrt(max(float(np.linalg.eigvalsh(G)[-1]), 0.0)), -shift)
 
 
 def positive_sqrt(T: QMatrix, tol: float = 1e-10) -> QMatrix:

@@ -22,8 +22,6 @@ __all__ = [
     "Sphere",
     "qmul",
     "qconj",
-    "qinv",
-    "qabs",
     "sphere_of",
     "circularize",
     "cluster_spheres",
@@ -57,19 +55,6 @@ def qconj(q: np.ndarray) -> np.ndarray:
     out = q.copy()
     out[..., 1:] = -out[..., 1:]
     return out
-
-
-def qabs(q: np.ndarray) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    return np.sqrt(np.sum(q * q, axis=-1))
-
-
-def qinv(q: np.ndarray) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    n2 = np.sum(q * q, axis=-1, keepdims=True)
-    if np.any(n2 == 0.0):
-        raise ZeroDivisionError("quaternion inverse of zero")
-    return qconj(q) / n2
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +199,6 @@ class Sphere:
     def __post_init__(self):
         if self.rad < 0.0:
             raise ValueError("sphere radius must be nonnegative")
-
-    def is_real(self, tol: float = 0.0) -> bool:
-        return self.rad <= tol
 
     def distance(self, other: "Sphere") -> float:
         """Euclidean distance in the (re, rad) half plane."""

@@ -481,7 +481,8 @@ def range_basis(P: QMatrix, tol: float = 1e-6) -> QMatrix:
     U, sv, _ = np.linalg.svd(chi(P))
     rank_c = int(np.count_nonzero(sv > 0.5))
     if rank_c % 2:
-        raise ValueError("range of a quaternionic operator has even chi rank")
+        raise ValueError(f"chi(P) has odd rank {rank_c} at the 0.5 cut; the "
+                         f"range of a quaternionic operator has even chi rank")
     return gram_schmidt(U[:, :rank_c], rank_c // 2, tol)[1]
 
 

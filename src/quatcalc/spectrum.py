@@ -43,9 +43,6 @@ class SphericalSpectrum:
     def total_multiplicity(self) -> int:
         return sum(self.multiplicities)
 
-    def sphere_set(self) -> frozenset:
-        return frozenset(self.spheres)
-
     def multiplicity_of(self, s: Sphere, tol: float = 1e-8) -> int:
         for sp, m in zip(self.spheres, self.multiplicities):
             if sp.distance(s) <= tol:

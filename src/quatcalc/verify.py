@@ -30,7 +30,7 @@ from .scalculus import build_contour, riesz_projection, func_calc, \
     calc_adjoint_check, riesz_decompose
 from .irreducibility import (
     extension_irreducibility_check,
-    find_idempotent,
+    _find_idempotent,
     is_strongly_irreducible,
 )
 from .discretize import grid_points, kernel_op, paper_example, volterra_op
@@ -374,7 +374,7 @@ def suite_irreducibility(rng, tols) -> list[dict]:
     witness_bad = 0.0
     for T in _small_catalog():
         report = is_strongly_irreducible(T)
-        oracle = find_idempotent(T, seed=7)
+        oracle = _find_idempotent(T, seed=7)
         structural_si = report.verdict == "irreducible"
         oracle_si = oracle is None
         if report.verdict == "indeterminate" or structural_si != oracle_si:

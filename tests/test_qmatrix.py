@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -183,6 +184,22 @@ def test_op_norm_of_a_single_huge_entry(q, parts):
     T = QMatrix(e)
     assert (_slice_matrix(T) is None) == (len(parts) == 4)
     assert abs(op_norm(T) - 1e300) <= 1e-14 * 1e300
+
+
+@pytest.mark.parametrize("parts", [[0], [0, 2], [0, 1, 2, 3]],
+                         ids=["real", "C_j", "general"])
+def test_op_norm_of_a_subnormal_matrix(parts):
+    """||T 2^-1040|| against ||(T 2^-1040) 2^1040|| 2^-1040: scaling the
+    subnormal entries up by 2^1040 is exact, so both sides norm the same
+    matrix.  The complex division by a subnormal max|M| used to overflow."""
+    e = np.zeros((4, 5, 4))
+    e[..., parts] = np.random.default_rng(7).standard_normal((4, 5, len(parts)))
+    tiny = QMatrix(np.ldexp(e, -1040))
+    assert (_slice_matrix(tiny) is None) == (len(parts) == 4)
+    up = op_norm(QMatrix(np.ldexp(tiny.entries, 1040)))
+    got = op_norm(tiny)
+    assert 0.0 < got
+    assert abs(got - math.ldexp(up, -1040)) <= 4 * math.ulp(0.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

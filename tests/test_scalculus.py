@@ -161,6 +161,21 @@ def test_range_basis_is_orthonormal(rng):
     assert op_norm(gram - QMatrix.eye(2)) <= 1e-10
 
 
+def test_range_basis_reports_the_odd_chi_rank_it_found(monkeypatch):
+    P = QMatrix.diag([Quaternion(1, 0, 0, 0), Quaternion(0, 0, 0, 0)])
+    svd = np.linalg.svd
+
+    def odd_svd(M, *args, **kwargs):
+        U, sv, Vt = svd(M, *args, **kwargs)
+        sv = sv.copy()
+        sv[2] = 0.9  # a third singular value above the 0.5 cut
+        return U, sv, Vt
+
+    monkeypatch.setattr(np.linalg, "svd", odd_svd)
+    with pytest.raises(ValueError, match="odd rank 3"):
+        range_basis(P)
+
+
 def test_restricted_spectra_partition(rng):
     T = QMatrix.diag([Quaternion(0, 0, 1, 0), Quaternion(3, 0, 0, 0),
                       Quaternion(-1, 0.5, 0, 0)])
