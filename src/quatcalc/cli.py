@@ -34,23 +34,6 @@ class CliInputError(Exception):
     pass
 
 
-def _limit_threads() -> None:
-    cap = os.environ.get("QUATCALC_THREADS")
-    if not cap:
-        return
-    try:
-        n = int(cap)
-    except ValueError:
-        raise CliInputError("QUATCALC_THREADS must be an integer")
-    try:
-        import threadpoolctl
-    except ImportError:
-        print("warning: QUATCALC_THREADS is set but threadpoolctl is not "
-              "installed; the thread cap was not applied", file=sys.stderr)
-        return
-    threadpoolctl.threadpool_limits(limits=n)
-
-
 def _load_matrix(path: str) -> QMatrix:
     if path is None:
         raise CliInputError("--input is required")
@@ -279,7 +262,6 @@ def main(argv=None) -> int:
         argv[k:k + 2] = [f"--partition={argv[k + 1]}"]
     args = build_parser().parse_args(argv)
     try:
-        _limit_threads()
         return args.func(args)
     except CliInputError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quaternion import Quaternion, Sphere, cluster_spheres
+from .quaternion import Quaternion, Sphere, circularize
 from .qmatrix import QMatrix, chi, chi_inv, op_norm, normal_eigensystem
 from .spectrum import spherical_spectrum, SphericalSpectrum
 from .scalculus import riesz_decompose
@@ -111,7 +111,8 @@ def is_strongly_irreducible(T: QMatrix,
     # at roughly eps^(1/k) for a size-k Jordan block; group spectrum spheres
     # at that resolution so jitter is not mistaken for distinct spheres.
     cluster_tol = scale * float(np.finfo(float).eps) ** (1.0 / (T.rows + 1))
-    groups = cluster_spheres(spec.spheres, cluster_tol)
+    groups, labels = circularize(
+        [complex(s.re, s.rad) for s in spec.spheres], cluster_tol)
 
     if not groups:
         return StrongIrreducibilityReport(
@@ -119,16 +120,16 @@ def is_strongly_irreducible(T: QMatrix,
             {"reason": "a 0 x 0 matrix has no spectrum to decide on"})
     if len(groups) >= 2:
         # witness: Riesz projection of a proper spectral part
-        pair = riesz_decompose(T, groups[0])
+        pair = riesz_decompose(
+            T, [s for s, g in zip(spec.spheres, labels) if g == 0])
         E = pair.P_sigma
         detail = {"route": "riesz", "residuals": pair.residuals}
         return StrongIrreducibilityReport("decomposable", E, spec, detail)
 
-    reps = groups[0]
-    mults = [spec.multiplicity_of(s) for s in reps]
+    mults = spec.multiplicities
     sphere = Sphere(
-        sum(s.re * m for s, m in zip(reps, mults)) / sum(mults),
-        sum(s.rad * m for s, m in zip(reps, mults)) / sum(mults))
+        sum(s.re * m for s, m in zip(spec.spheres, mults)) / sum(mults),
+        sum(s.rad * m for s, m in zip(spec.spheres, mults)) / sum(mults))
     # Rank threshold at the jitter resolution: semisimple directions whose
     # eigenvalue sits anywhere in the cluster are genuine kernel directions.
     cut = max(tol * scale, cluster_tol)
@@ -187,12 +188,15 @@ def is_strongly_irreducible(T: QMatrix,
 def complex_strongly_irreducible(S: np.ndarray, tol: float = 1e-8) -> bool:
     """Complex-linear strong irreducibility: similar to one Jordan block.
 
-    Equivalent to a single eigenvalue with geometric multiplicity one.
+    Equivalent to a single eigenvalue with geometric multiplicity one.  A
+    0 x 0 matrix has no Jordan block, so the answer for it is False.
     """
     S = np.asarray(S, dtype=complex)
     n = S.shape[0]
     if S.shape != (n, n):
         raise ValueError("square matrix required")
+    if n == 0:
+        return False
     w = np.linalg.eigvals(S)
     scale = max(np.linalg.norm(S, 2), 1.0)
     # a size-k Jordan block's computed eigenvalues spread by about

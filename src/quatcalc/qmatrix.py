@@ -513,8 +513,7 @@ def plus_eigenbasis(J: QMatrix, tol: float = 1e-10) -> QMatrix:
     plus = V[:, lam > 0.0]
     if plus.shape[1] != n:
         raise ValueError("+i eigenspace of J has wrong dimension")
-    cols = [chi_vec_inv(plus[:, l]) for l in range(n)]
-    return QMatrix(np.stack(cols, axis=1))
+    return QMatrix(chi_vec_inv(plus))
 
 
 def extend(Tp: np.ndarray, J: QMatrix, basis: QMatrix | None = None) -> QMatrix:

@@ -24,7 +24,6 @@ __all__ = [
     "qconj",
     "sphere_of",
     "circularize",
-    "cluster_spheres",
     "slice_embed",
     "UNIT_I",
     "UNIT_J",
@@ -221,44 +220,19 @@ def slice_embed(s: Sphere, m: ImaginaryUnit = UNIT_I, sign: int = 1) -> Quaterni
     return Quaternion(s.re, m.x * r, m.y * r, m.z * r)
 
 
-def cluster_spheres(spheres, tol: float) -> list[list[Sphere]]:
-    """Single-linkage grouping of spheres in the (re, rad) half plane.
-
-    Spheres are visited in sorted order, so the grouping is deterministic.
-    """
-    groups: list[list[Sphere]] = []
-    for s in sorted(spheres):
-        for g in groups:
-            if any(s.distance(t) <= tol for t in g):
-                g.append(s)
-                break
-        else:
-            groups.append([s])
-    return groups
-
-
-# complex entries per block of circularize's conjugation-distance table
+# complex entries per block of circularize's point-to-sphere distance table
 _CIRCULARIZE_BLOCK = 1 << 18
 
 
-def circularize(points, tol: float = 1e-9) -> frozenset:
-    """Spheres swept by a conjugation-symmetric set of complex points.
+def circularize(points, tol: float = 1e-9) -> tuple[list[Sphere], np.ndarray]:
+    """Spheres swept by complex points, and the sphere of each point.
 
-    Raises ValueError if the input is not closed under complex conjugation
-    within ``tol``.  Points are visited in (re, |im|) order and a point
-    opens a new sphere unless it lies within ``tol`` of a kept one.
+    A point z and its conjugate sweep the same sphere (re z, |im z|).
+    Points are visited in (re, |im|) order and a point opens a new sphere
+    unless it lies within ``tol`` of a kept one, so the spheres come back
+    sorted.  ``labels[k]`` is the index of the sphere nearest point k.
     """
     pts = np.fromiter(points, dtype=complex)
-    # conjugation check, a block of rows of the distance table at a time
-    off = np.flatnonzero(np.abs(pts.imag) > tol)
-    rows = max(1, _CIRCULARIZE_BLOCK // max(pts.size, 1))
-    for lo in range(0, off.size, rows):
-        idx = off[lo:lo + rows]
-        gap = np.abs(pts[idx, None].conj() - pts[None, :]).min(axis=1)
-        bad = np.flatnonzero(gap > tol)
-        if bad.size:
-            raise ValueError("set is not conjugation symmetric: missing "
-                             f"conjugate of {complex(pts[idx[bad[0]]])}")
     re, rad = pts.real, np.abs(pts.imag)
     order = np.lexsort((rad, re))
     spheres: list[Sphere] = []
@@ -271,4 +245,12 @@ def circularize(points, tol: float = 1e-9) -> frozenset:
         if all(cand.distance(s) > tol for s in reversed(spheres[lo:])):
             kept_re[len(spheres)] = r
             spheres.append(cand)
-    return frozenset(spheres)
+    if not spheres:
+        return spheres, np.zeros(0, dtype=np.intp)
+    centers = np.array([complex(s.re, s.rad) for s in spheres])
+    folded = re + 1j * rad
+    rows = max(1, _CIRCULARIZE_BLOCK // centers.size)
+    labels = np.concatenate([
+        np.abs(folded[lo:lo + rows, None] - centers).argmin(axis=1)
+        for lo in range(0, pts.size, rows)])
+    return spheres, labels

@@ -60,7 +60,7 @@ from .quaternion import (
     Quaternion,
     Sphere,
     UNIT_I,
-    cluster_spheres,
+    circularize,
     qconj,
     qmul,
 )
@@ -259,22 +259,20 @@ def build_contour(sigma, other=(), m: ImaginaryUnit = UNIT_I,
     # near-duplicate sigma spheres (numerical jitter of a multiple sphere)
     # share one circle; keep them apart from genuinely distinct traces
     extent = max(max(abs(s.re) + s.rad for s in sigma + other), 1.0)
-    reps = cluster_spheres(sigma, 1e-7 * extent)
+    reps, _ = circularize([complex(s.re, s.rad) for s in sigma],
+                          1e-7 * extent)
 
     circles: list[Circle] = []
-    for group in reps:
-        s = group[0]
+    for rep in reps:
         # flatten imaginary jitter: a near-real sphere's conjugate trace is
         # not a separate singularity at working resolution
-        if s.rad <= 1e-7 * extent:
-            s = Sphere(s.re, 0.0)
+        s = rep if rep.rad > 1e-7 * extent else Sphere(rep.re, 0.0)
         dists = []
         if s.rad > 0.0:
             dists.append(2.0 * s.rad)  # own conjugate trace
-        for g in reps:
-            if g is not group:
-                dists.append(_pair_distance(s.re, s.rad,
-                                            g[0].re, g[0].rad))
+        for t in reps:
+            if t is not rep:
+                dists.append(_pair_distance(s.re, s.rad, t.re, t.rad))
         for o in other:
             dists.append(_pair_distance(s.re, s.rad, o.re, o.rad))
         d_all = min(dists) if dists else 2.0

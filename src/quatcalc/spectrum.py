@@ -65,10 +65,6 @@ def delta(T: QMatrix, q: Quaternion) -> QMatrix:
     return T @ T - (2.0 * q.re) * T + QMatrix.real_scalar(n, q.norm_sq())
 
 
-# complex entries per block of spherical_spectrum's eigenvalue-sphere table
-_ASSIGN_BLOCK = 1 << 18
-
-
 def _chi_eigenvalues(T: QMatrix) -> np.ndarray:
     """Eigenvalues of chi(T); eig(Z) and their conjugates for slice-valued T."""
     Z = _slice_matrix(T)
@@ -82,34 +78,25 @@ def spherical_spectrum(T: QMatrix, tol: float = 1e-9) -> SphericalSpectrum:
     """Spheres where Delta_q(T) fails to be invertible.
 
     Computed from the eigenvalues of chi(T), which come in conjugate pairs:
-    each pair is one quaternionic eigenvalue.  Every chi eigenvalue is
-    counted once, at the sphere nearest its (re, |im|), and a sphere's
-    quaternionic multiplicity is half its count.  A pair that jitter splits
-    between two spheres (defective T) leaves both with an odd count; the
-    extra half goes to the sphere more of whose eigenvalues lie above the
-    real axis, so the multiplicities sum to n, and a sphere left with none
-    is dropped.  When every entry of T lies in one slice C_u, the
-    eigenvalues of chi(T) are those of the n x n matrix Z = w + i*c_u and
-    their conjugates, so only Z is factored.
+    each pair is one quaternionic eigenvalue.  ``circularize`` groups them
+    into spheres at ``tol * max(||T||, 1)`` and places every chi eigenvalue
+    once, at the sphere nearest its (re, |im|); a sphere's quaternionic
+    multiplicity is half its count.  A pair that jitter splits between two
+    spheres (defective T) leaves both with an odd count; the extra half
+    goes to the sphere more of whose eigenvalues lie above the real axis,
+    so the multiplicities sum to n, and a sphere left with none is
+    dropped.  When every entry of T lies in one slice C_u, the eigenvalues
+    of chi(T) are those of the n x n matrix Z = w + i*c_u and their
+    conjugates, so only Z is factored.
     """
     if not T.is_square:
         raise ValueError("spectrum requires a square matrix")
     scale = max(op_norm(T), 1.0)
     eigs = _chi_eigenvalues(T)
-    # force exact conjugation symmetry before circularizing
-    sym = np.concatenate([eigs, eigs.conj()])
-    spheres = sorted(circularize(sym, tol=tol * scale))
-    if not spheres:  # 0 x 0 T
-        return SphericalSpectrum((), ())
-    centers = np.array([complex(sp.re, sp.rad) for sp in spheres])
-    pts = eigs.real + 1j * np.abs(eigs.imag)
-    rows = max(1, _ASSIGN_BLOCK // centers.size)
-    home = np.concatenate([
-        np.abs(pts[lo:lo + rows, None] - centers).argmin(axis=1)
-        for lo in range(0, pts.size, rows)])
-    count = np.bincount(home, minlength=centers.size)
+    spheres, home = circularize(eigs, tol * scale)
+    count = np.bincount(home, minlength=len(spheres))
     lean = np.bincount(home, weights=np.sign(eigs.imag),
-                       minlength=centers.size)
+                       minlength=len(spheres))
     odd = np.flatnonzero(count % 2)
     mults = count // 2
     mults[odd[np.argsort(-lean[odd], kind="stable")[:odd.size // 2]]] += 1

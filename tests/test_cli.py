@@ -193,21 +193,6 @@ def test_tolerance_flags_only_where_used(diag_ij3):
         assert exc.value.code == 2
 
 
-def test_thread_cap_without_threadpoolctl_warns(monkeypatch, capsys):
-    argv = ["examples", "--sweep", "8:16"]
-    monkeypatch.setenv("QUATCALC_THREADS", "1")
-    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
-    assert main(argv) == 0
-    capped = capsys.readouterr()
-    assert "QUATCALC_THREADS" in capped.err
-    assert "not applied" in capped.err
-    monkeypatch.delenv("QUATCALC_THREADS")
-    assert main(argv) == 0
-    plain = capsys.readouterr()
-    assert plain.err == ""
-    assert plain.out == capped.out
-
-
 def test_python_dash_m_runs_the_cli():
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.environ.get("PYTHONPATH")

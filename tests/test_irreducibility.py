@@ -160,6 +160,21 @@ def test_empty_input_is_indeterminate():
     assert "0 x 0" in rep.detail["reason"]
 
 
+def test_chained_spheres_split_at_the_nearest_leader():
+    """0.9 tau lies within tau of both 0 and 1.8 tau, but 1.8 tau is more
+    than tau from 0: the spheres form two groups, not one chain."""
+    tau = float(np.finfo(float).eps) ** 0.25  # cluster_tol at n = 3
+    T = QMatrix.diag([Quaternion(x, 0, 0, 0) for x in (0.0, 0.9 * tau,
+                                                         1.8 * tau)])
+    rep = is_strongly_irreducible(T)
+    assert rep.verdict == "decomposable", rep.detail
+    E = rep.witness
+    assert op_norm(E @ E - E) <= 1e-12
+    assert op_norm(E @ T - T @ E) <= 1e-12
+    # nontrivial: neither E nor I - E vanishes
+    assert op_norm(E) >= 0.5 and op_norm(QMatrix.eye(3) - E) >= 0.5
+
+
 def test_subnormal_input_gets_a_verdict():
     """The witness commutator of an all-1e-300 matrix is subnormal; its
     norm used to raise LinAlgError."""
@@ -180,6 +195,18 @@ def test_complex_strong_irreducibility():
     assert not complex_strongly_irreducible(J22)
     # eigenvalues 1e-3 apart are two spheres, not Jordan jitter
     assert not complex_strongly_irreducible(np.diag([1j, 1j + 1e-3]))
+
+
+def test_complex_strong_irreducibility_of_empty_matrix():
+    # a 0 x 0 matrix has no Jordan block
+    assert complex_strongly_irreducible(np.zeros((0, 0))) is False
+
+
+def test_extension_check_of_empty_operator():
+    out = extension_irreducibility_check(np.zeros((0, 0)), QMatrix.zeros(0))
+    assert out["complex_strongly_irreducible"] is False
+    assert out["quaternionic_verdict"] == "indeterminate"
+    assert out["agree"] is False
 
 
 @pytest.mark.parametrize("lam, n", [(1j, 3), (0.3, 5)])

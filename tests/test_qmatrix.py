@@ -305,6 +305,19 @@ def _random_J(rng, n):
     return W @ QMatrix.diag([Quaternion(0, 1, 0, 0)] * n) @ W.adjoint()
 
 
+def test_plus_eigenbasis_is_a_unitary_of_plus_i_eigenvectors(rng):
+    n = 4
+    J = _random_J(rng, n)
+    U = plus_eigenbasis(J)
+    i_n = QMatrix.diag([Quaternion(0, 1, 0, 0)] * n)
+    assert op_norm(J @ U - U @ i_n) <= 1e-10
+    assert op_norm(U.adjoint() @ U - QMatrix.eye(n)) <= 1e-10
+
+
+def test_plus_eigenbasis_of_empty_J():
+    assert plus_eigenbasis(QMatrix.zeros(0)).entries.shape == (0, 0, 4)
+
+
 def test_slice_split(rng):
     J = _random_J(rng, 4)
     x = rng.standard_normal((4, 4))

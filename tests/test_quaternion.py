@@ -76,40 +76,47 @@ def test_slice_embed_round_trip():
 
 
 def test_circularize_groups_conjugates():
-    pts = [complex(1, 2), complex(1, -2), complex(3, 0)]
-    spheres = circularize(pts)
-    assert spheres == frozenset({Sphere(1, 2), Sphere(3, 0)})
+    pts = [complex(1, 2), complex(3, 0), complex(1, -2)]
+    spheres, labels = circularize(pts)
+    assert spheres == [Sphere(1, 2), Sphere(3, 0)]
+    assert labels.tolist() == [0, 1, 0]
 
 
-def test_circularize_rejects_asymmetric_sets():
-    with pytest.raises(ValueError):
-        circularize([complex(1, 2), complex(3, 0)])
+def test_circularize_of_no_points():
+    spheres, labels = circularize([])
+    assert spheres == []
+    assert labels.shape == (0,)
+
+
+def test_circularize_labels_chain_to_nearest_leader():
+    # 0.9 joins the sphere at 0; 1.8 is more than tol from that leader and
+    # opens its own, although it lies within tol of 0.9
+    spheres, labels = circularize([1.8, 0.0, 0.9], tol=1.0)
+    assert spheres == [Sphere(0.0, 0.0), Sphere(1.8, 0.0)]
+    assert labels[1] == 0 and labels[0] == 1
 
 
 def _circularize_scan(points, tol):
-    """Reference: the O(n^2) pairwise scan that circularize replaced."""
-    pts = [complex(p) for p in points]
-    for p in pts:
-        if abs(p.imag) <= tol:
-            continue
-        if min(abs(p.conjugate() - q) for q in pts) > tol:
-            raise ValueError(
-                f"set is not conjugation symmetric: missing conjugate of {p}")
+    """Reference: the leader rule as an O(n^2) pairwise scan."""
     spheres: list[Sphere] = []
-    for p in sorted(pts, key=lambda c: (c.real, abs(c.imag))):
+    for p in sorted(points, key=lambda c: (c.real, abs(c.imag))):
         cand = Sphere(p.real, abs(p.imag))
         if all(cand.distance(s) > tol for s in spheres):
             spheres.append(cand)
-    return frozenset(spheres)
+    return spheres
 
 
-def _sorted_spheres(spheres):
-    return sorted((s.re, s.rad) for s in spheres)
+def _nearest(p, spheres):
+    """Index of the sphere nearest the point p, the first one on a tie."""
+    z = complex(p.real, abs(p.imag))
+    d = [abs(z - complex(s.re, s.rad)) for s in spheres]
+    return d.index(min(d))
 
 
-# base points on a coarse grid (so exact ties in re occur), each repeated with
-# offsets of 0 to 2 tol: near-duplicates on both sides of the merge radius
-_base = st.tuples(st.integers(-3, 3), st.integers(0, 3))
+# base points on a coarse grid (so exact ties in re occur), on both sides of
+# the real axis, each repeated with offsets of 0 to 2 tol: near-duplicates on
+# both sides of the merge radius
+_base = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
 _offset = st.tuples(st.floats(-2, 2), st.floats(-2, 2))
 
 
@@ -124,19 +131,17 @@ def test_circularize_matches_pairwise_scan(base, offsets, log_tol):
     pts = []
     for (a, b), offs in zip(base, offsets):
         for d in [(0.0, 0.0)] + offs:
-            p = complex(0.5 * a + d[0] * tol, 0.25 * b + d[1] * tol)
-            pts += [p, p.conjugate()]
-    ref = _circularize_scan(pts, tol)
-    got = circularize(np.array(pts), tol=tol)
-    assert got == ref
-    assert _sorted_spheres(got) == _sorted_spheres(ref)
-    # one point whose conjugate is missing: both raise with the same message
-    lone = complex(9.0, 1.0)
-    with pytest.raises(ValueError) as want:
-        _circularize_scan(pts + [lone], tol)
-    with pytest.raises(ValueError) as err:
-        circularize(pts + [lone], tol=tol)
-    assert str(err.value) == str(want.value)
+            pts.append(complex(0.5 * a + d[0] * tol, 0.25 * b + d[1] * tol))
+    sym = pts + [p.conjugate() for p in pts]
+    # without their conjugates the points give the spheres of the
+    # symmetrized set
+    spheres, labels = circularize(np.array(pts), tol=tol)
+    assert spheres == _circularize_scan(sym, tol)
+    assert labels.tolist() == [_nearest(p, spheres) for p in pts]
+    # z and its conjugate get the same label
+    sym_spheres, sym_labels = circularize(sym, tol=tol)
+    assert sym_spheres == spheres
+    assert sym_labels.tolist() == 2 * labels.tolist()
 
 
 def test_imaginary_unit_validation():
