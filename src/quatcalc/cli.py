@@ -29,6 +29,9 @@ EXIT_INPUT = 2
 EXIT_PARTITION = 3
 EXIT_SEPARATION = 4
 
+# the tolerances the riesz command gates its report on
+_RIESZ_TOLS = ("riesz-step", "riesz-restricted")
+
 
 class CliInputError(Exception):
     pass
@@ -121,7 +124,7 @@ def cmd_riesz(args) -> int:
     sigma = _parse_partition(args.partition)
     tols = default_tolerances()
     tols.update(_tol_overrides(args))
-    pair = riesz_decompose(T, sigma, nodes=args.nodes)
+    pair = riesz_decompose(T, sigma)
     step_keys = ["idempotent_sigma", "idempotent_tau", "sum_identity",
                  "product_zero", "commute_sigma", "commute_tau"]
     # self-adjointness of the projections is an invariant for normal T only
@@ -138,8 +141,7 @@ def cmd_riesz(args) -> int:
         "spectrum_sigma": pair.spectrum_sigma.to_json(),
         "spectrum_tau": pair.spectrum_tau.to_json(),
         "residuals": pair.residuals,
-        "tolerances": {"riesz-step": tols["riesz-step"],
-                       "riesz-restricted": tols["riesz-restricted"]},
+        "tolerances": {name: tols[name] for name in _RIESZ_TOLS},
         "passed": ok,
     }
     _dump(report, args.output)
@@ -208,12 +210,13 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--output", help="write the report here "
                                          "(default: stdout)")
 
-    def tolerance_flags(sp):
-        for name, val in default_tolerances().items():
+    def tolerance_flags(sp, names=None):
+        defaults = default_tolerances()
+        for name in names or defaults:
             sp.add_argument(f"--tol-{name}", type=float, default=None,
                             dest="tol_" + name.replace("-", "_"),
                             help=f"override tolerance {name} "
-                                 f"(default {val:g})")
+                                 f"(default {defaults[name]:g})")
 
     sp = sub.add_parser("spectrum", help="spherical spectrum of an operator")
     sp.add_argument("--input", help="QMatrix JSON file")
@@ -224,11 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--input", help="QMatrix JSON file")
     sp.add_argument("--partition", required=True,
                     help='sigma spheres as "re,rad;re,rad;..."')
-    sp.add_argument("--nodes", type=int, default=16,
-                    help="minimum nodes per circle; default: the "
-                         "analyticity ratio and the enclosed multiplicity")
     common(sp)
-    tolerance_flags(sp)
+    tolerance_flags(sp, _RIESZ_TOLS)
     sp.set_defaults(func=cmd_riesz)
 
     sp = sub.add_parser("examples", help="reproduce the worked examples")

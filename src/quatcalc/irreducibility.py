@@ -7,10 +7,15 @@ In finite dimension the structural criterion is sharp: T is strongly
 irreducible iff its spherical spectrum is a single similarity sphere and
 the corresponding eigenspace of the complex adjoint matrix is minimal
 (one Jordan chain).  The decision below uses that criterion but always
-returns a certificate: either a witness idempotent, or the verified rank
-profile that precludes one.  A brute-force idempotent search over the
-commutant is kept as a private oracle for n <= 6 (``_ORACLE_MAX_N``): it
-works in all 4 n^2 real coordinates of X, so its cost grows as n^6.
+returns a certificate: either the verified rank profile that precludes a
+commuting idempotent, or a witness idempotent E that passes one gate,
+||E^2 - E|| and ||ET - TE|| / max(||T||, 1) at most ``_WITNESS_TOL``.
+The witness routes: "riesz", the Riesz projection onto one of several
+sphere groups; "eigenvector", E = v v* for a reducing eigenvector v; and
+"search", a brute-force idempotent search over the commutant for a split
+that is not orthogonal.  The search is a private oracle for n <= 6
+(``_ORACLE_MAX_N``): it works in all 4 n^2 real coordinates of X, so its
+cost grows as n^6.
 """
 
 from __future__ import annotations
@@ -19,10 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quaternion import Quaternion, Sphere, circularize
-from .qmatrix import QMatrix, chi, chi_inv, op_norm, normal_eigensystem
+from .quaternion import Sphere, circularize
+from .qmatrix import QMatrix, chi, chi_inv, chi_vec_inv, extend, op_norm
 from .spectrum import spherical_spectrum, SphericalSpectrum
-from .scalculus import riesz_decompose
+from .scalculus import build_contour, riesz_projection
 
 __all__ = [
     "is_strongly_irreducible",
@@ -33,6 +38,8 @@ __all__ = [
 
 # largest n for the dense commutant oracle: its real system is 4n^2 x 4n^2
 _ORACLE_MAX_N = 6
+# a witness idempotent is accepted when both of its residuals are below this
+_WITNESS_TOL = 1e-6
 
 
 def _commutant(T: QMatrix) -> list[QMatrix]:
@@ -74,22 +81,22 @@ class StrongIrreducibilityReport:
         return self.verdict == "irreducible"
 
 
-def _eigensphere_kernel_dim(T: QMatrix, sphere: Sphere,
-                            cut: float) -> tuple[int, float, float]:
-    """Kernel dimension of chi(T) - lambda at the upper slice representative.
+def _jitter_resolution(scale: float, n: int) -> float:
+    """scale * eps^(1/(n+1)): a size-k Jordan block's computed eigenvalues
+    spread by about eps^(1/k), so closer ones are one cluster."""
+    return scale * float(np.finfo(float).eps) ** (1.0 / (n + 1))
 
-    ``cut`` is the rank threshold (the eigenvalue-jitter resolution).
-    Returns (dim, smallest kept sv, largest rejected sv) so the caller can
-    judge how close the rank decision is to the threshold.
+
+def _reducing_eigenvector(M: np.ndarray) -> QMatrix:
+    """E = v v* for the unit v nearest to ker M and ker M*, M = chi(T) - lam.
+
+    psi is the right singular vector of [M; M*] with the smallest singular
+    value and v = chi_vec_inv(psi).  When T v = v lam and T* v = v conj(lam)
+    hold, v spans a reducing subspace: ET = v lam v* = TE.
     """
-    n = T.rows
-    lam = complex(sphere.re, sphere.rad)
-    M = chi(T) - lam * np.eye(2 * n)
-    sv = np.linalg.svd(M, compute_uv=False)
-    dim = int(np.count_nonzero(sv <= cut))
-    kept = float(sv[sv > cut].min()) if np.any(sv > cut) else np.inf
-    rejected = float(sv[sv <= cut].max()) if dim else 0.0
-    return dim, kept, rejected
+    psi = np.linalg.svd(np.vstack([M, M.conj().T]))[2][-1].conj()
+    v = QMatrix(chi_vec_inv(psi[:, None]))
+    return v @ v.adjoint()
 
 
 def is_strongly_irreducible(T: QMatrix,
@@ -98,33 +105,44 @@ def is_strongly_irreducible(T: QMatrix,
 
     Structural criterion (finite dimension): strongly irreducible iff the
     spherical spectrum is one sphere and the chi eigenspace at its upper
-    representative is minimal (dimension 1 for a nonreal sphere, 2 for a
-    real one, i.e. a single Jordan chain).  When a rank decision falls
-    within a factor of 10 of the threshold the verdict is "indeterminate".
+    representative lam is minimal (dimension 1 for a nonreal sphere, 2 for
+    a real one, i.e. a single Jordan chain).  ``detail["route"]`` is "rank"
+    for the rank decision (``kernel_dim``, ``minimal_dim`` and the singular
+    values on either side of the cut) or the witness route.  "decomposable"
+    carries ``detail["residuals"]`` = {"idempotent", "commutes"}, both at
+    most ``_WITNESS_TOL``.  "indeterminate" carries ``detail["reason"]``:
+    a rank decision within a factor of 10 of the cut, or a witness above
+    the gate (with its residuals).
     """
     if not T.is_square:
         raise ValueError("strong irreducibility requires a square matrix")
     spec = spherical_spectrum(T)
     scale = max(op_norm(T), 1.0)
 
-    # Defective eigenvalues of the underlying complex matrix are perturbed
-    # at roughly eps^(1/k) for a size-k Jordan block; group spectrum spheres
-    # at that resolution so jitter is not mistaken for distinct spheres.
-    cluster_tol = scale * float(np.finfo(float).eps) ** (1.0 / (T.rows + 1))
+    def report(verdict, detail, E=None):
+        return StrongIrreducibilityReport(verdict, E, spec, detail)
+
+    def certified(E: QMatrix, detail: dict) -> StrongIrreducibilityReport:
+        res = {"idempotent": op_norm(E @ E - E),
+               "commutes": op_norm(E @ T - T @ E) / scale}
+        if max(res.values()) <= _WITNESS_TOL:
+            return report("decomposable", dict(detail, residuals=res), E)
+        return report("indeterminate", dict(detail, residuals=res, reason=(
+            f"witness residual above {_WITNESS_TOL:g}")))
+
+    # group spectrum spheres at the jitter resolution so that jitter is not
+    # mistaken for distinct spheres
+    cluster_tol = _jitter_resolution(scale, T.rows)
     groups, labels = circularize(
         [complex(s.re, s.rad) for s in spec.spheres], cluster_tol)
-
     if not groups:
-        return StrongIrreducibilityReport(
-            "indeterminate", None, spec,
-            {"reason": "a 0 x 0 matrix has no spectrum to decide on"})
+        return report("indeterminate", {
+            "reason": "a 0 x 0 matrix has no spectrum to decide on"})
     if len(groups) >= 2:
-        # witness: Riesz projection of a proper spectral part
-        pair = riesz_decompose(
-            T, [s for s, g in zip(spec.spheres, labels) if g == 0])
-        E = pair.P_sigma
-        detail = {"route": "riesz", "residuals": pair.residuals}
-        return StrongIrreducibilityReport("decomposable", E, spec, detail)
+        sigma = [s for s, g in zip(spec.spheres, labels) if g == 0]
+        tau = [s for s, g in zip(spec.spheres, labels) if g != 0]
+        E = riesz_projection(T, build_contour(sigma, tau), spec)
+        return certified(E, {"route": "riesz"})
 
     mults = spec.multiplicities
     sphere = Sphere(
@@ -133,56 +151,40 @@ def is_strongly_irreducible(T: QMatrix,
     # Rank threshold at the jitter resolution: semisimple directions whose
     # eigenvalue sits anywhere in the cluster are genuine kernel directions.
     cut = max(tol * scale, cluster_tol)
-    dim, kept, rejected = _eigensphere_kernel_dim(T, sphere, cut)
+    M = chi(T) - complex(sphere.re, sphere.rad) * np.eye(2 * T.rows)
+    sv = np.linalg.svd(M, compute_uv=False)
+    dim = int(np.count_nonzero(sv <= cut))
+    kept = float(sv[sv > cut].min()) if dim < sv.size else np.inf
+    rejected = float(sv[sv <= cut].max()) if dim else 0.0
     minimal = 2 if sphere.rad <= cluster_tol else 1
-    margin_ok = (rejected <= 0.1 * cut) and (kept >= 10 * cut)
-    if not margin_ok:
-        return StrongIrreducibilityReport(
-            "indeterminate", None, spec,
-            {"route": "rank", "kernel_dim": dim,
-             "smallest_kept_sv": kept, "largest_rejected_sv": rejected})
+    rank = {"route": "rank", "kernel_dim": dim, "minimal_dim": minimal,
+            "smallest_kept_sv": kept, "largest_rejected_sv": rejected}
+    if not (rejected <= 0.1 * cut and kept >= 10 * cut):
+        return report("indeterminate", dict(
+            rank, reason="a singular value within a factor of 10 of the cut"))
     if dim < minimal:
-        # the cluster representative is not actually in the spectrum: the
-        # grouped spheres are too spread out for a sound rank decision
-        return StrongIrreducibilityReport(
-            "indeterminate", None, spec,
-            {"route": "rank", "kernel_dim": dim, "minimal_dim": minimal,
-             "note": "sphere cluster too wide for a rank decision"})
+        # the cluster representative is not actually in the spectrum
+        return report("indeterminate", dict(
+            rank, reason="sphere cluster too wide for a rank decision"))
     if dim == minimal:
-        return StrongIrreducibilityReport(
-            "irreducible", None, spec,
-            {"route": "rank", "kernel_dim": dim, "minimal_dim": minimal,
-             "smallest_kept_sv": kept, "largest_rejected_sv": rejected})
+        return report("irreducible", rank)
 
-    # single sphere but a split eigenspace: exhibit an idempotent.
-    route = "eigenbasis"
-    try:
-        lam, U = normal_eigensystem(T)
-        picks = [Quaternion(1.0, 0, 0, 0)] + \
-            [Quaternion(0.0, 0, 0, 0)] * (T.rows - 1)
-        E = U @ QMatrix.diag(picks) @ U.adjoint()
-    except Exception:
-        route = "search"
-    detail = {"route": route, "kernel_dim": dim, "minimal_dim": minimal}
-    if route == "search":
-        if T.rows > _ORACLE_MAX_N:
-            return StrongIrreducibilityReport(
-                "indeterminate", None, spec,
-                dict(detail, note=f"no eigenbasis, and the witness search "
-                                  f"is limited to n <= {_ORACLE_MAX_N}"))
-        E = _find_idempotent(T)
-    if E is not None:
-        detail["residuals"] = {
-            "idempotent": op_norm(E @ E - E),
-            "commutes": op_norm(E @ T - T @ E) / scale,
-        }
-        if max(detail["residuals"].values()) > 1e-6:
-            E = None
+    # single sphere but a split eigenspace: exhibit an idempotent
+    split = {"kernel_dim": dim, "minimal_dim": minimal}
+    rep = certified(_reducing_eigenvector(M),
+                    {"route": "eigenvector", **split})
+    if rep.verdict == "decomposable":
+        return rep
+    if T.rows > _ORACLE_MAX_N:
+        return report("indeterminate", dict(rep.detail, reason=(
+            f"no reducing eigenvector, and the witness search is limited "
+            f"to n <= {_ORACLE_MAX_N}")))
+    E = _find_idempotent(T)
     if E is None:
-        return StrongIrreducibilityReport(
-            "indeterminate", None, spec,
-            dict(detail, note="rank says decomposable but no witness found"))
-    return StrongIrreducibilityReport("decomposable", E, spec, detail)
+        return report("indeterminate", {
+            "route": "search", **split,
+            "reason": "rank says decomposable but no witness found"})
+    return certified(E, {"route": "search", **split})
 
 
 def complex_strongly_irreducible(S: np.ndarray, tol: float = 1e-8) -> bool:
@@ -199,10 +201,9 @@ def complex_strongly_irreducible(S: np.ndarray, tol: float = 1e-8) -> bool:
         return False
     w = np.linalg.eigvals(S)
     scale = max(np.linalg.norm(S, 2), 1.0)
-    # a size-k Jordan block's computed eigenvalues spread by about
-    # eps^(1/k): judge the spread and the rank at that resolution, as
+    # judge the spread and the rank at the jitter resolution, as
     # is_strongly_irreducible does
-    cluster_tol = scale * float(np.finfo(float).eps) ** (1.0 / (n + 1))
+    cluster_tol = _jitter_resolution(scale, n)
     lam = w.mean()
     if np.abs(w - lam).max() > cluster_tol:
         return False
@@ -221,8 +222,6 @@ def extension_irreducibility_check(Sp: np.ndarray, J: QMatrix,
     witnesses, and ``agree`` is False only on a genuine discrepancy
     (an indeterminate quaternionic verdict is reported as such).
     """
-    from .qmatrix import extend
-
     complex_si = complex_strongly_irreducible(Sp, tol=tol)
     Tq = extend(Sp, J)
     report = is_strongly_irreducible(Tq, tol=tol)

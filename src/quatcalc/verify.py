@@ -18,6 +18,7 @@ from .qmatrix import (
     QMatrix,
     cartesian,
     chi,
+    chi_inv,
     extend,
     normal_eigensystem,
     op_norm,
@@ -397,7 +398,6 @@ def suite_irreducibility(rng, tols) -> list[dict]:
             if sv[0] / sv[-1] < 20.0:
                 break
         Ginv = np.linalg.inv(chi(G))
-        from .qmatrix import chi_inv
         Tsim = chi_inv(chi(G) @ chi(T) @ Ginv, tol=1e-6)
         if is_strongly_irreducible(Tsim).verdict != verdict0:
             flips += 1

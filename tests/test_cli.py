@@ -77,13 +77,6 @@ def test_riesz_command(diag_ij3, tmp_path):
     assert P.rows == 2
 
 
-def test_riesz_below_minimum_nodes_is_input_error(diag_ij3, capsys):
-    rc = main(["riesz", "--input", str(diag_ij3), "--partition", "0,1",
-               "--nodes", "8"])
-    assert rc == 2
-    assert "at least 16 nodes" in capsys.readouterr().err
-
-
 def test_riesz_full_sigma_is_partition_error(diag_ij3):
     rc = main(["riesz", "--input", str(diag_ij3), "--partition", "0,1;3,0"])
     assert rc == 3
@@ -191,6 +184,11 @@ def test_tolerance_flags_only_where_used(diag_ij3):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--tol-riesz-step", "1e-3"])
         assert exc.value.code == 2
+    # riesz gates on riesz-step and riesz-restricted only
+    with pytest.raises(SystemExit) as exc:
+        main(["riesz", "--input", str(diag_ij3), "--partition", "0,1",
+              "--tol-polar-residual", "1e-3"])
+    assert exc.value.code == 2
 
 
 def test_python_dash_m_runs_the_cli():

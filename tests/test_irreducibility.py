@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import quatcalc
 from quatcalc import irreducibility
+from quatcalc.discretize import paper_example
 from quatcalc.qmatrix import QMatrix, chi, chi_inv, op_norm, polar
 from quatcalc.quaternion import Quaternion
 from quatcalc.irreducibility import (
@@ -14,6 +19,7 @@ from quatcalc.irreducibility import (
     extension_irreducibility_check,
     is_strongly_irreducible,
 )
+from quatcalc.verify import run_all
 
 Q_I = Quaternion(0, 0, 1, 0)
 Q_J = Quaternion(0, 0, 0, 1)
@@ -62,6 +68,9 @@ def test_strong_irreducibility_catalog():
         rep = is_strongly_irreducible(T)
         assert rep.verdict == expected, rep.detail
         if expected == "decomposable":
+            res = rep.detail["residuals"]
+            assert set(res) == {"idempotent", "commutes"}
+            assert max(res.values()) <= 1e-6
             P = rep.witness
             scale = max(op_norm(T), 1.0)
             assert op_norm(P @ P - P) <= 1e-6
@@ -114,10 +123,12 @@ def test_commutant_oracle_refuses_large_input_without_allocating(n):
 
 
 def _force_search_route(monkeypatch):
-    def no_eigensystem(T):
-        raise ValueError("no normal eigensystem")
+    def no_reducing_eigenvector(M):
+        # commutes with T, but is not idempotent
+        return QMatrix.eye(M.shape[0] // 2) * 2.0
 
-    monkeypatch.setattr(irreducibility, "normal_eigensystem", no_eigensystem)
+    monkeypatch.setattr(irreducibility, "_reducing_eigenvector",
+                        no_reducing_eigenvector)
 
 
 def test_search_route_finds_a_witness_within_the_guard(monkeypatch):
@@ -142,8 +153,55 @@ def test_search_route_is_indeterminate_above_the_guard(monkeypatch):
     rep = is_strongly_irreducible(QMatrix.diag([Q_I, Q_I]))
     assert rep.verdict == "indeterminate"
     assert rep.witness is None
-    assert rep.detail["route"] == "search"
-    assert "limited to n <= 1" in rep.detail["note"]
+    assert rep.detail["route"] == "eigenvector"
+    assert rep.detail["residuals"]["idempotent"] > 1e-6
+    assert "limited to n <= 1" in rep.detail["reason"]
+
+
+@pytest.mark.parametrize("n", [12, 24])
+def test_uncertified_riesz_witness_is_indeterminate(n):
+    """The Riesz projection of the nonnormal example's first sphere is far
+    from idempotent (2.1e-6 at n = 12, 1.3e6 at n = 24): no verdict."""
+    rep = is_strongly_irreducible(paper_example("nonnormal", n).T.matrix)
+    assert rep.verdict == "indeterminate", rep.detail
+    assert rep.witness is None
+    assert rep.detail["route"] == "riesz"
+    assert rep.detail["residuals"]["idempotent"] > 1e-6
+    assert "witness residual" in rep.detail["reason"]
+
+
+def test_orthogonally_split_jordan_structure_has_an_eigenvector_witness():
+    """J2(i) (+) i I5: one sphere, a 6-dimensional eigenspace, and e_3 spans
+    a reducing subspace although T is not normal."""
+    n = 7
+    M = np.eye(n, dtype=complex) * 1j + np.diag([1.0] + [0.0] * (n - 2), 1)
+    T = chi_inv(np.block([[M, np.zeros((n, n))], [np.zeros((n, n)), M.conj()]]))
+    rep = is_strongly_irreducible(T)
+    assert rep.verdict == "decomposable", rep.detail
+    assert rep.detail["route"] == "eigenvector"
+    assert max(rep.detail["residuals"].values()) <= 1e-12
+    E = rep.witness
+    assert op_norm(E) > 0.5 and op_norm(QMatrix.eye(n) - E) > 0.5
+
+
+@pytest.mark.parametrize("seed", [57, 77])
+def test_irreducibility_suite_passes_at_seeds_57_and_77(seed):
+    report = run_all(seed=seed, suites=("irreducibility",))
+    assert report["passed"], [c for c in report["checks"] if not c["passed"]]
+
+
+def test_eigenvector_witness_loads_no_scipy_linalg():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys\n"
+            "from quatcalc import QMatrix, Quaternion, is_strongly_irreducible\n"
+            "i = Quaternion(0, 1, 0, 0)\n"
+            "rep = is_strongly_irreducible(QMatrix.diag([i, i, i]))\n"
+            "assert rep.verdict == 'decomposable', rep.detail\n"
+            "assert 'scipy.linalg' not in sys.modules\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
 
 
 def test_dense_oracles_are_not_public():

@@ -59,6 +59,11 @@ def test_contour_nodes_close_up():
     assert abs(total) <= 1e-13
 
 
+def test_build_contour_below_minimum_nodes_is_value_error():
+    with pytest.raises(ValueError, match="at least 16 nodes"):
+        build_contour([Sphere(0.0, 1.0)], [Sphere(3.0, 0.0)], nodes=8)
+
+
 def test_circle_validation():
     with pytest.raises(ValueError):
         Circle(0.0, -1.0)
