@@ -14,11 +14,10 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from .quaternion import Sphere, slice_embed
-from .qmatrix import QMatrix, chi, op_norm
-from .spectrum import spherical_spectrum, delta, SpectrumProximityError
+from .quaternion import Sphere
+from .qmatrix import QMatrix, op_norm
+from .spectrum import (SpectrumProximityError, _delta_singular_values,
+                       spherical_spectrum)
 from .scalculus import riesz_decompose, SeparationError, PartitionError
 from .discretize import paper_example, volterra_op
 from .verify import run_all, default_tolerances, SUITES
@@ -105,14 +104,9 @@ def cmd_spectrum(args) -> int:
     if not T.is_square:
         raise CliInputError("operator must be square")
     spec = spherical_spectrum(T)
-    entries = []
-    for s, mult in zip(spec.spheres, spec.multiplicities):
-        rep = s.to_json()
-        q = delta(T, slice_embed(s))
-        # sigma_min stays on SVD: a Gram matrix would square its conditioning
-        sv = np.linalg.svd(chi(q), compute_uv=False)
-        entries.append({"re": rep["re"], "rad": rep["rad"], "mult": mult,
-                        "delta_min_sv": float(sv[-1])})
+    entries = spec.to_json()
+    for rep, s in zip(entries, spec.spheres):
+        rep["delta_min_sv"] = float(_delta_singular_values(T, s)[-1])
     _dump({"spheres": entries, "size": T.rows}, args.output)
     return EXIT_OK
 

@@ -162,9 +162,6 @@ class QMatrix:
         """Left action on an (n, 4) quaternionic column vector."""
         return chi_vec_inv(chi(self) @ chi_vec(vec))
 
-    def is_close(self, other: "QMatrix", tol: float = 1e-12) -> bool:
-        return op_norm(self - other) <= tol
-
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -249,6 +246,19 @@ def chi_inv(M: np.ndarray, tol: float = 1e-12) -> QMatrix:
     A = 0.5 * (M[:n, :m] + M[n:, m:].conj())
     B = 0.5 * (M[:n, m:] - M[n:, :m].conj())
     return QMatrix(_unpair(A, B))
+
+
+def _mirror_defect(M: np.ndarray, z: complex, R: np.ndarray) -> float:
+    """Round-off sentinel of R = (M - z)^-1, M in the image of chi.
+
+    As J0 M J0^-1 = conj(M), the inverse at conj(z) is exactly the block
+    mirror [[conj U, -conj S], [-conj Q, conj P]] of R = [[P, Q], [S, U]];
+    returns its largest gap to an independent inverse there (R if z is real).
+    """
+    n = R.shape[0] // 2
+    mirror = np.block([[R[n:, n:], -R[n:, :n]], [-R[:n, n:], R[:n, :n]]])
+    R_c = np.linalg.inv(M - np.conj(z) * np.eye(2 * n)) if z.imag else R
+    return float(np.abs(R_c - mirror.conj()).max(initial=0.0))
 
 
 def chi_vec(v: np.ndarray) -> np.ndarray:

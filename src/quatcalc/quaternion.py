@@ -171,7 +171,7 @@ class ImaginaryUnit:
 
     @staticmethod
     def normalized(x: float, y: float, z: float) -> "ImaginaryUnit":
-        n = math.sqrt(x * x + y * y + z * z)
+        n = math.hypot(x, y, z)  # no underflow of the squares
         if n == 0.0:
             raise ValueError("zero vector cannot define an imaginary unit")
         return ImaginaryUnit(x / n, y / n, z / n)
@@ -212,12 +212,23 @@ def sphere_of(q: Quaternion) -> Sphere:
     return Sphere(q.re, q.im_norm())
 
 
-def slice_embed(s: Sphere, m: ImaginaryUnit = UNIT_I, sign: int = 1) -> Quaternion:
-    """Representative re + m * (sign * rad) of the sphere in the slice C_m."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    r = sign * s.rad
-    return Quaternion(s.re, m.x * r, m.y * r, m.z * r)
+def slice_embed(s: Sphere, m: ImaginaryUnit = UNIT_I) -> Quaternion:
+    """Representative re + rad m of the sphere in the slice C_m."""
+    return Quaternion(s.re, m.x * s.rad, m.y * s.rad, m.z * s.rad)
+
+
+def _slice_rotor(m: ImaginaryUnit) -> np.ndarray:
+    """Unit quaternion u (as a 4-array) with u i conj(u) = m.
+
+    q -> conj(u) q u turns C_m onto C_i.  u ~ (1 + m_x, i x m) turns i onto
+    m along a great circle, but loses all accuracy as m -> -i; for m_x < 0
+    take the rotor onto -m and compose it with j, which turns i onto -i.
+    """
+    if m.x >= 0.0:
+        u = np.array([1.0 + m.x, 0.0, -m.z, m.y])
+    else:
+        u = np.array([-m.z, m.y, 1.0 - m.x, 0.0])
+    return u / np.linalg.norm(u)
 
 
 # complex entries per block of circularize's point-to-sphere distance table

@@ -18,25 +18,16 @@ With the counterclockwise parametrization s(t) = c + r e^{mt} one has
 ds = m r e^{mt} dt and ds_m = -ds*m = r e^{mt} dt, so each quadrature node
 contributes the quaternionic weight (r/N) e^{mt_k}.
 
-The quadrature runs in C_i for every slice: a unit u with u i conj(u) = m
-turns C_m onto C_i (T' = conj(u) T u entrywise; the result X' is turned
-back as u X' conj(u)).  There a node s is a complex number z, and since
-chi(conj(s) I_n) = diag(conj(z) I, z I) and chi(Delta_s) = (chi T' - z)
-(chi T' - conj z), exactly
-
-    chi(T' - conj s) Delta_s^-1 = [top n rows of (chi T' - z)^-1;
-                                   bottom n rows of (chi T' - conj z)^-1],
-
-with column blocks for Delta_s^-1 chi(T' - conj s).  Nodes come in
-conjugate pairs (k and N - k on a circle centered on the real axis; an
-off-axis circle and its twin).  As J0 chi(T') J0^-1 = conj(chi T'), the
-inverse at conj(z) is, exactly, the block mirror of R = (chi T' - z)^-1 =
-[[P, Q], [S, U]]: [[conj U, -conj S], [-conj Q, conj P]].  So each pair
-costs one LU inverse, and no factorization is shared across nodes (the
-mirror moves blocks and adds no backward error).  A once-per-call Schur or
-Hessenberg form of chi(T) would be cheaper per node, but its backward error
-is amplified by ||(chi T - z)^-1||^2 on fragile eigenvalues of highly
-non-normal T (Trefethen-Embree, Spectra and Pseudospectra).
+The quadrature runs in C_i for every slice, by the rotor and the row-block
+identity of ``spectrum.s_resolvent``: node z takes blocks of
+R = (chi T' - z)^-1 and of the inverse at conj(z), exactly R's block mirror
+(``qmatrix._mirror_defect``).  Nodes come in conjugate pairs (k and N - k on
+a circle centered on the real axis; an off-axis circle and its twin), so
+each pair costs one LU inverse, and no factorization is shared across
+nodes.  A once-per-call Schur or Hessenberg form of chi(T) would be cheaper
+per node, but its backward error is amplified by ||(chi T - z)^-1||^2 on
+fragile eigenvalues of highly non-normal T (Trefethen-Embree, Spectra and
+Pseudospectra).
 
 The lead nodes of the pairs run in a fixed number of chunks on a thread
 pool made per call (numpy's LAPACK releases the GIL), summed in chunk order:
@@ -55,22 +46,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .quaternion import (
-    ImaginaryUnit,
-    Quaternion,
-    Sphere,
-    UNIT_I,
-    circularize,
-    qconj,
-    qmul,
-)
-from .qmatrix import QMatrix, _pair, _unpair, chi, gram_schmidt, op_norm
-from .spectrum import (
-    SphericalSpectrum,
-    SpectrumProximityError,
-    spherical_spectrum,
-    hausdorff_distance,
-)
+from .quaternion import (UNIT_I, ImaginaryUnit, Quaternion, Sphere,
+                         _slice_rotor, circularize, qconj, qmul)
+from .qmatrix import (QMatrix, _mirror_defect, _pair, _unpair, chi,
+                      gram_schmidt, op_norm)
+from .spectrum import (SphericalSpectrum, _trace_distances, hausdorff_distance,
+                       spherical_spectrum)
 
 __all__ = [
     "Contour",
@@ -165,7 +146,7 @@ class Contour:
 
     m: ImaginaryUnit = UNIT_I
     circles: tuple[Circle, ...] = ()
-    nodes_per_circle: int = 128
+    nodes_per_circle: int = _MIN_NODES
 
     def __post_init__(self):
         if self.nodes_per_circle < _MIN_NODES:
@@ -316,20 +297,6 @@ def _in_slice(z: complex, m: ImaginaryUnit) -> Quaternion:
     return Quaternion(x, y * m.x, y * m.y, y * m.z)
 
 
-def _slice_rotor(m: ImaginaryUnit) -> np.ndarray:
-    """Unit quaternion u (as a 4-array) with u i conj(u) = m.
-
-    u ~ (1 + m_x, i x m) turns i onto m along a great circle, but loses all
-    accuracy as m -> -i; for m_x < 0 take the rotor onto -m and compose it
-    with j, which turns i onto -i.
-    """
-    if m.x >= 0.0:
-        u = np.array([1.0 + m.x, 0.0, -m.z, m.y])
-    else:
-        u = np.array([-m.z, m.y, 1.0 - m.x, 0.0])
-    return u / np.linalg.norm(u)
-
-
 def _quadrature(f, side: str, T: QMatrix, contour: Contour,
                 spectrum: SphericalSpectrum | None) -> QMatrix:
     """The calculus integral of ``func_calc`` by per-node trapezoid sums.
@@ -341,29 +308,20 @@ def _quadrature(f, side: str, T: QMatrix, contour: Contour,
     q = f'(z) w (the left term mirrors it with column blocks, q = w f'(z)).
     The sum lies in the image of chi, so only its top n rows are kept.  Lead
     nodes (k <= partner[k]) take one LU inverse each, in ``_CHUNKS`` chunks
-    on a per-call thread pool; their partners' R is its block mirror.  A
-    sentinel checks the round-off: the mirror at the lead node nearest the
-    spectrum against an independent inverse at its partner.  A proximity
-    guard refuses nodes near the spectrum first.  A circle enclosing
-    spheres of total multiplicity k > N takes k nodes, rounded up to a
-    multiple of 16, so that no enclosed pole aliases.
+    on a per-call thread pool; their partners' R is its block mirror.  The
+    proximity guard is ``_trace_distances``, and the round-off sentinel
+    ``_mirror_defect`` runs at the lead node nearest the spectrum.  A circle
+    enclosing spheres of total multiplicity k > N takes k nodes, rounded up
+    to a multiple of 16, so that no enclosed pole aliases.
     """
     spec = spherical_spectrum(T) if spectrum is None else spectrum
-    scale = max(op_norm(T), 1.0)
     given = contour.nodes_per_circle
     poles = max(sum(k for sp, k in zip(spec.spheres, spec.multiplicities)
                     if c.contains(sp.re, sp.rad)) for c in contour.circles)
     if poles > given:
         contour = replace(contour, nodes_per_circle=_round_nodes(poles))
     z, w, partner = contour.slice_nodes()
-    traces = np.array([(sp.re, sp.rad) for sp in spec.spheres])
-    dist = np.hypot(z.real[:, None] - traces[:, 0],
-                    np.abs(z.imag)[:, None] - traces[:, 1]).min(axis=1)
-    near = np.flatnonzero(dist < 1e-8 * scale)
-    if near.size:
-        d = float(dist[near[0]])
-        raise SpectrumProximityError(
-            f"quadrature node at distance {d:.3e} from the spectrum", d)
+    dist = _trace_distances(T, spec, z)
 
     u = _slice_rotor(contour.m)
     ubar = qconj(u)
@@ -414,10 +372,7 @@ def _quadrature(f, side: str, T: QMatrix, contour: Contour,
             if R_c is not None:
                 R_s = R_c
     top = -top - np.hstack([W[:, n:], -W[:, :n]]).conj()
-    p = partner[sentinel]
-    R_p = R_s if p == sentinel else np.linalg.inv(Tc - z[p] * eye)
-    R_m = np.block([[R_s[n:, n:], -R_s[n:, :n]], [-R_s[:n, n:], R_s[:n, :n]]])
-    defect = abs(w[sentinel]) * np.abs(R_p - R_m.conj()).max()
+    defect = abs(w[sentinel]) * _mirror_defect(Tc, z[sentinel], R_s)
     _log.debug("quadrature: %d nodes, %d lead nodes, %d workers, "
                "sentinel defect %.3e, %d nodes per circle (%s)", z.size,
                lead.size, workers, defect, contour.nodes_per_circle,
@@ -499,28 +454,27 @@ class RieszPair:
     residuals: dict = field(default_factory=dict)
 
 
-def riesz_decompose(T: QMatrix, sigma, tau=None, nodes: int = _MIN_NODES,
-                    m: ImaginaryUnit = UNIT_I,
-                    match_tol: float = 1e-8) -> RieszPair:
+def riesz_decompose(T: QMatrix, sigma, tau=None,
+                    nodes: int = _MIN_NODES) -> RieszPair:
     """Riesz projections for a partition of the spherical spectrum.
 
-    ``sigma`` selects spheres of sigma_S(T) (matched within ``match_tol``);
+    ``sigma`` selects spheres of sigma_S(T) (matched within 1e-8);
     ``tau`` defaults to the complement.  Both parts must be nonempty.
     """
     spec = spherical_spectrum(T)
     all_spheres = set(spec.spheres)
-    sig = _match_spheres(sigma, all_spheres, match_tol)
+    sig = _match_spheres(sigma, all_spheres)
     if tau is None:
         ta = all_spheres - sig
     else:
-        ta = _match_spheres(tau, all_spheres, match_tol)
+        ta = _match_spheres(tau, all_spheres)
         if sig | ta != all_spheres or (sig & ta):
             raise PartitionError("sigma and tau must partition the spectrum")
     if not sig or not ta:
         raise PartitionError("both partition parts must be nonempty")
 
-    c_sigma = build_contour(sig, ta, m=m, nodes=nodes)
-    c_tau = build_contour(ta, sig, m=m, nodes=nodes)
+    c_sigma = build_contour(sig, ta, nodes=nodes)
+    c_tau = build_contour(ta, sig, nodes=nodes)
     P_sigma = riesz_projection(T, c_sigma, spec)
     P_tau = riesz_projection(T, c_tau, spec)
 
@@ -556,10 +510,10 @@ def riesz_decompose(T: QMatrix, sigma, tau=None, nodes: int = _MIN_NODES,
     )
 
 
-def _match_spheres(requested, available, tol: float) -> set:
+def _match_spheres(requested, available) -> set:
     matched = set()
     for r in requested:
-        hits = [s for s in available if s.distance(r) <= max(tol, 1e-12)]
+        hits = [s for s in available if s.distance(r) <= 1e-8]
         if not hits:
             raise PartitionError(f"no spectrum sphere matches {r}")
         matched.add(min(hits, key=lambda s: s.distance(r)))

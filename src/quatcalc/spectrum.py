@@ -1,4 +1,8 @@
-"""Spherical spectrum, point spectrum and the S-resolvent operators."""
+"""Spherical spectrum, point spectrum and the S-resolvent operators.
+
+Both S-resolvents come from one LU inverse of chi(T') - z (``s_resolvent``),
+so they are conditioned as chi(T') - z, not as its square chi(Delta_s).
+"""
 
 from __future__ import annotations
 
@@ -6,8 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quaternion import Quaternion, Sphere, circularize, slice_embed, sphere_of
-from .qmatrix import QMatrix, _slice_matrix, chi, chi_inv, op_norm
+from .quaternion import (UNIT_I, ImaginaryUnit, Quaternion, Sphere,
+                         _slice_rotor, circularize, qconj, qmul, slice_embed)
+from .qmatrix import (QMatrix, _mirror_defect, _slice_matrix, _unpair, chi,
+                      op_norm)
 
 __all__ = [
     "SphericalSpectrum",
@@ -105,17 +111,20 @@ def spherical_spectrum(T: QMatrix, tol: float = 1e-9) -> SphericalSpectrum:
                              tuple(int(mults[k]) for k in keep))
 
 
+def _delta_singular_values(T: QMatrix, sp: Sphere) -> np.ndarray:
+    """Singular values of chi(Delta_q(T)), q = slice_embed(sp), by SVD: a
+    Gram matrix would square the conditioning of sigma_min."""
+    return np.linalg.svd(chi(delta(T, slice_embed(sp))), compute_uv=False)
+
+
 def point_spectrum(T: QMatrix, tol: float = 1e-8) -> SphericalSpectrum:
     """Spheres where Delta_q(T) has nontrivial kernel, with dim_H of the kernel."""
     spec = spherical_spectrum(T)
     scale = max(op_norm(T), 1.0)
     spheres, dims = [], []
     for sp in spec.spheres:
-        D = delta(T, slice_embed(sp))
-        # sigma_min stays on SVD: a Gram matrix would square its conditioning
-        sv = np.linalg.svd(chi(D), compute_uv=False)
-        kdim_c = int(np.count_nonzero(sv <= tol * scale ** 2))
-        kdim = kdim_c // 2  # quaternionic kernel dimension
+        sv = _delta_singular_values(T, sp)
+        kdim = int(np.count_nonzero(sv <= tol * scale ** 2)) // 2  # over H
         if kdim > 0:
             spheres.append(sp)
             dims.append(kdim)
@@ -131,36 +140,57 @@ class SResolventSample:
     right: QMatrix
 
 
-def _delta_inverse(T: QMatrix, s: Quaternion) -> QMatrix:
-    D = delta(T, s)
-    return chi_inv(np.linalg.inv(chi(D)), tol=1e-6)
+def _trace_distances(T: QMatrix, spec: SphericalSpectrum,
+                     z: np.ndarray) -> np.ndarray:
+    """Distances of slice points z = x + iy to the spectrum: the proximity
+    guard raises ``SpectrumProximityError`` within 1e-8 max(||T||, 1)."""
+    scale = max(op_norm(T), 1.0)
+    traces = np.array([(sp.re, sp.rad) for sp in spec.spheres]).reshape(-1, 2)
+    dist = np.hypot(z.real[:, None] - traces[:, 0], np.abs(z.imag)[:, None]
+                    - traces[:, 1]).min(axis=1, initial=np.inf)
+    near = np.flatnonzero(dist < 1e-8 * scale)
+    if near.size:
+        d = float(dist[near[0]])
+        raise SpectrumProximityError(f"distance {d:.3e} to the spectrum", d)
+    return dist
 
 
 def s_resolvent(T: QMatrix, s: Quaternion,
-                spectrum: SphericalSpectrum | None = None,
-                guard: float = 1e-8) -> SResolventSample:
-    """S_L^-1(s,T) = -Delta_s(T)^-1 (T - conj(s) I)  and the right variant.
+                spectrum: SphericalSpectrum | None = None) -> SResolventSample:
+    """S_L^-1(s,T) = -Delta_s(T)^-1 (T - conj(s) I) and the right variant
+    S_R^-1(s,T) = -(T - conj(s) I) Delta_s(T)^-1, from one LU inverse.
 
-    Refuses evaluation when [s] is within ``guard * ||T||`` of the spherical
-    spectrum (Delta inversion would be the only failure mode).
+    The rotor u of s's slice turns s into z = re s + i |im s| and T into
+    T' = conj(u) T u; the resolvents are u X conj(u) for those X of (z, T').
+    With M = chi(T'), chi(conj(s) I) = diag(conj z I, z I) and
+    chi(Delta_s) = (M - z)(M - conj z), so exactly
+
+        chi(T' - conj s) chi(Delta_s)^-1 = [top n rows of (M - z)^-1;
+                                            bottom n rows of (M - conj z)^-1]
+
+    and column blocks likewise for chi(Delta_s)^-1 chi(T' - conj s).  With
+    R = (M - z)^-1, S_R^-1 = -(R[:n, :n] + R[:n, n:] j) and
+    S_L^-1 = -(R[:n, :n] - conj(R[n:, :n]) j), conditioned as M - z, not as
+    its square chi(Delta_s).  The proximity guard ``_trace_distances`` and
+    the round-off sentinel ``_mirror_defect`` (1e-6 relative to R) raise.
     """
     if not T.is_square:
         raise ValueError("resolvent requires a square matrix")
     spec = spherical_spectrum(T) if spectrum is None else spectrum
-    scale = max(op_norm(T), 1.0)
-    dist = spec.distance_to(sphere_of(s))
-    if dist < guard * scale:
-        raise SpectrumProximityError(
-            f"s is too close to the spherical spectrum "
-            f"(distance {dist:.3e} < {guard * scale:.3e})", dist)
-    n = T.rows
-    Dinv = _delta_inverse(T, s)
-    e = T.entries.copy()
-    e[range(n), range(n)] -= s.conjugate().to_array()
-    shift = QMatrix(e)
-    left = -1.0 * (Dinv @ shift)
-    right = -1.0 * (shift @ Dinv)
-    return SResolventSample(s=s, left=left, right=right)
+    z = complex(s.re, s.im_norm())
+    _trace_distances(T, spec, np.array([z]))
+    u = _slice_rotor(ImaginaryUnit.normalized(s.x, s.y, s.z) if z.imag
+                     else UNIT_I)
+    n, ubar = T.rows, qconj(u)
+    M = chi(QMatrix(qmul(qmul(ubar, T.entries), u)))
+    R = np.linalg.inv(M - z * np.eye(2 * n))
+    defect = _mirror_defect(M, z, R)
+    if defect > 1e-6 * np.abs(R).max(initial=0.0):
+        raise ValueError(f"S-resolvent round-off check: defect {defect:.3e}")
+    left = _unpair(-R[:n, :n], R[n:, :n].conj())
+    right = _unpair(-R[:n, :n], -R[:n, n:])
+    return SResolventSample(s=s, left=QMatrix(qmul(qmul(u, left), ubar)),
+                            right=QMatrix(qmul(qmul(u, right), ubar)))
 
 
 def hausdorff_distance(a, b) -> float:

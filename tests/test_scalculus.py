@@ -64,6 +64,12 @@ def test_build_contour_below_minimum_nodes_is_value_error():
         build_contour([Sphere(0.0, 1.0)], [Sphere(3.0, 0.0)], nodes=8)
 
 
+def test_contour_defaults_to_the_minimum_node_count():
+    assert Contour(circles=(Circle(0.0, 1.0),)).nodes_per_circle == 16
+    with pytest.raises(ValueError, match="at least 16 nodes"):
+        Contour(circles=(Circle(0.0, 1.0),), nodes_per_circle=8)
+
+
 def test_circle_validation():
     with pytest.raises(ValueError):
         Circle(0.0, -1.0)
