@@ -92,9 +92,9 @@ def test_nonnormal_example_certificate(report):
 
 def test_riesz_projection_vs_oracle(report):
     _gate(report, "Riesz projection vs eigenprojection oracle "
-                  "(20 normal 6x6, sep >= 0.5, 128 nodes)", [
+                  "(20 normal 6x6, sep >= 0.5, rho-sized node count)", [
         ("riesz", "projection vs eigenprojection oracle"),
-        ("riesz", "idempotent/self-adjoint/sum/commute residuals"),
+        ("riesz", "idempotent/self-adjoint/commute residuals"),
         ("riesz", "restricted spectra match the partition"),
     ])
 

@@ -71,7 +71,8 @@ def test_riesz_command(diag_ij3, tmp_path):
     assert rc == 0
     report = json.loads(out.read_text())
     assert report["passed"] is True
-    assert report["residuals"]["sum_identity"] <= 1e-10
+    assert report["residuals"]["idempotent_sigma"] <= 1e-10
+    assert "P_tau" not in report
     assert report["spectrum_sigma"][0]["rad"] == pytest.approx(1.0, abs=1e-8)
     P = QMatrix.from_json(report["P_sigma"])
     assert P.rows == 2
@@ -85,6 +86,25 @@ def test_riesz_full_sigma_is_partition_error(diag_ij3):
 def test_riesz_unmatched_sphere_is_partition_error(diag_ij3):
     rc = main(["riesz", "--input", str(diag_ij3), "--partition", "9,0"])
     assert rc == 3
+
+
+def test_riesz_odd_chi_rank_is_partition_error(diag_ij3, monkeypatch, capsys):
+    """A projection whose chi(P) has odd rank is not the projection of the
+    requested split: exit 3, not an input error."""
+    svd = np.linalg.svd
+
+    def odd_svd(M, *args, **kwargs):
+        if not kwargs.get("compute_uv", True):
+            return svd(M, *args, **kwargs)
+        U, sv, Vt = svd(M, *args, **kwargs)
+        sv = sv.copy()
+        sv[2] = 0.9  # a third singular value above the 0.5 cut
+        return U, sv, Vt
+
+    monkeypatch.setattr(np.linalg, "svd", odd_svd)
+    rc = main(["riesz", "--input", str(diag_ij3), "--partition", "0,1"])
+    assert rc == 3
+    assert "partition error: chi(P) has odd rank 3" in capsys.readouterr().err
 
 
 def test_riesz_malformed_partition(diag_ij3):
