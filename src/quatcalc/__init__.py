@@ -46,6 +46,7 @@ from .scalculus import (
     Circle,
     Contour,
     PartitionError,
+    RegularityError,
     RieszPair,
     SeparationError,
     build_contour,

@@ -3,16 +3,27 @@
 The integrals of the calculus are taken over the boundary of an axially
 symmetric domain intersected with a slice C_m.  Here the boundary is a union
 of circles centered on the real axis; the composite trapezoid rule on each
-circle is spectrally accurate for the analytic integrands that occur.
-Its error has two terms.  The analytic part decays like rho^-N in the N
+circle is spectrally accurate for the analytic integrands that occur.  With
+nothing to exclude, as for ``func_calc`` over all of sigma_S(T), the domain
+is one disc about the real axis twice as wide as the spectrum's traces
+(rho = 2, 64 nodes); a split of the spectrum takes one circle (pair) per
+enclosed sphere.
+Its error has three terms.  The analytic part decays like rho^-N in the N
 nodes per circle, where rho > 1 is the ratio of the widest annulus about the
 circle free of spectral traces; ``build_contour`` takes
-N = ceil(-log(eps)/log rho) for the unit round-off eps.  And about its
-center c the rule integrates (s - c)^p exactly only when p + 1 is 0 or not
-a multiple of N: an enclosed eigenvalue of quaternionic multiplicity k is a
+N = ceil(-log(eps)/log rho) for the unit round-off eps.  About its center c
+the rule integrates (s - c)^p exactly only when p + 1 is 0 or not a
+multiple of N: an enclosed eigenvalue of quaternionic multiplicity k is a
 resolvent pole of order up to k, whose term p = -1 - N aliases when N < k.
 So the quadrature raises N to the total multiplicity a circle encloses
-when that is larger.
+when that is larger.  And f itself must be slice-regular on each circle's
+disc, with Taylor coefficients about c that have died out by degree N: a
+pole or branch cut of f in the disc, or an entire f that grows too fast
+over a wide one (e^q on a radius-40 circle), gives a wrong sum that no
+residual of T sees.  The quadrature reads this off the discrete Fourier
+coefficients of f's samples and raises ``RegularityError``; ``func_calc``
+then replaces a contour around the whole spectrum by the spheres' own
+circles.
 
 With the counterclockwise parametrization s(t) = c + r e^{mt} one has
 ds = m r e^{mt} dt and ds_m = -ds*m = r e^{mt} dt, so each quadrature node
@@ -59,6 +70,7 @@ __all__ = [
     "RieszPair",
     "SeparationError",
     "PartitionError",
+    "RegularityError",
     "build_contour",
     "riesz_projection",
     "func_calc",
@@ -96,6 +108,11 @@ class SeparationError(ValueError):
 
 class PartitionError(ValueError):
     """A requested spectral partition does not match the spectrum."""
+
+
+class RegularityError(ValueError):
+    """f is not slice-regular on a contour circle's disc, or varies too fast
+    there for the circle's nodes to resolve it."""
 
 
 @dataclass(frozen=True)
@@ -209,45 +226,19 @@ def _pair_distance(a_re, a_h, b_re, b_h) -> float:
                math.hypot(a_re - b_re, a_h + b_h))
 
 
-def build_contour(sigma, other=(), m: ImaginaryUnit = UNIT_I,
-                  nodes: int = _MIN_NODES) -> Contour:
-    """Deterministic circle system enclosing sigma's slice traces only.
-
-    One circle (pair) per sigma sphere, centered at its trace points
-    (re, +-rad); the radius is 0.45 times the distance to the nearest other
-    trace, so circles are pairwise disjoint and every quadrature node sits
-    in an analyticity annulus of ratio rho >= 1/0.45.  The trapezoid error
-    of the analytic part decays like rho^-N, so the node count per circle
-    is N = ceil(-log(eps)/log rho) for the unit round-off eps (48 at
-    rho = 1/0.45), rounded up to a multiple of 16 and capped at 4096;
-    ``nodes`` is a floor under it.  The aliasing of an enclosed pole of
-    order k, exact only for N >= k, depends on T and is handled by the
-    quadrature.  Raises ``SeparationError`` when sigma and other cannot be
-    separated, and ``ValueError`` for ``nodes`` below 16.
-    """
-    if nodes < _MIN_NODES:
-        raise ValueError(
-            f"at least {_MIN_NODES} nodes per circle are required")
-    sigma = sorted(set(sigma))
-    other = sorted(set(other))
-    if not sigma:
-        raise SeparationError("sigma must be nonempty")
-    if other:
-        sep = min(s.distance(o) for s in sigma for o in other)
-        if sep <= 0.0:
-            raise SeparationError("sigma and other overlap")
-
+def _sphere_circles(sigma, other) -> list[Circle]:
+    """One circle (pair) per sigma sphere, centered at its trace points,
+    of radius 0.45 times the distance to the nearest other trace."""
     # near-duplicate sigma spheres (numerical jitter of a multiple sphere)
     # share one circle; keep them apart from genuinely distinct traces
-    extent = max(max(abs(s.re) + s.rad for s in sigma + other), 1.0)
-    reps, _ = circularize([complex(s.re, s.rad) for s in sigma],
-                          1e-7 * extent)
+    res = 1e-7 * max(max(abs(s.re) + s.rad for s in sigma + other), 1.0)
+    reps, _ = circularize([complex(s.re, s.rad) for s in sigma], res)
 
     circles: list[Circle] = []
     for rep in reps:
         # flatten imaginary jitter: a near-real sphere's conjugate trace is
         # not a separate singularity at working resolution
-        s = rep if rep.rad > 1e-7 * extent else Sphere(rep.re, 0.0)
+        s = rep if rep.rad > res else Sphere(rep.re, 0.0)
         dists = []
         if s.rad > 0.0:
             dists.append(2.0 * s.rad)  # own conjugate trace
@@ -261,7 +252,60 @@ def build_contour(sigma, other=(), m: ImaginaryUnit = UNIT_I,
             raise SeparationError(
                 f"sphere {s} cannot be separated from the excluded set")
         circles.append(Circle(s.re, 0.45 * d_all, height=s.rad))
+    return circles
 
+
+def build_contour(sigma, other=(), m: ImaginaryUnit = UNIT_I,
+                  nodes: int = _MIN_NODES) -> Contour:
+    """Deterministic circle system enclosing sigma's slice traces only.
+
+    With ``other`` empty, one circle on the real axis encloses all of sigma:
+    its center c is the midpoint of the spheres' real range and its radius
+    is 2 d0, d0 the largest distance from c to a trace, so every trace lies
+    within half the radius (rho = 2, 64 nodes, however many spheres).  The
+    radius is at least 0.9, the circle a lone real sphere gets below, so a
+    lone real sphere keeps its 16 nodes.  The calculus over this contour
+    needs f slice-regular on the whole disc; ``func_calc`` checks that and
+    falls back to the circles below when it fails.
+
+    With ``other`` nonempty there is one circle (pair) per sigma sphere,
+    centered at its trace points (re, +-rad); the radius is 0.45 times the
+    distance to the nearest other trace, so circles are pairwise disjoint
+    and every quadrature node sits in an analyticity annulus of ratio
+    rho >= 1/0.45.
+
+    The trapezoid error of the analytic part decays like rho^-N, so the
+    node count per circle is N = ceil(-log(eps)/log rho) for the unit
+    round-off eps (48 at rho = 1/0.45, 52 at rho = 2), rounded up to a
+    multiple of 16 and capped at 4096; ``nodes`` is a floor under it.  The
+    aliasing of an enclosed pole of order k, exact only for N >= k, depends
+    on T and is handled by the quadrature.  Raises ``SeparationError`` when
+    sigma and other cannot be separated, and ``ValueError`` for ``nodes``
+    below 16.
+    """
+    if nodes < _MIN_NODES:
+        raise ValueError(
+            f"at least {_MIN_NODES} nodes per circle are required")
+    sigma = sorted(set(sigma))
+    other = sorted(set(other))
+    if not sigma:
+        raise SeparationError("sigma must be nonempty")
+    if other:
+        sep = min(s.distance(o) for s in sigma for o in other)
+        if sep <= 0.0:
+            raise SeparationError("sigma and other overlap")
+        circles = _sphere_circles(sigma, other)
+    else:
+        center = 0.5 * (min(s.re for s in sigma) + max(s.re for s in sigma))
+        d0 = max(math.hypot(s.re - center, s.rad) for s in sigma)
+        circles = [Circle(center, max(2.0 * d0, 0.9))]
+    return _sized_contour(circles, sigma, other, m, nodes)
+
+
+def _sized_contour(circles, sigma, other, m: ImaginaryUnit,
+                   nodes: int) -> Contour:
+    """The contour on ``circles`` with ``build_contour``'s node count,
+    checked to wind once around sigma and not around other."""
     # Trapezoid error on a circle decays like rho^-N with rho set by the
     # nearest spectral trace (inside or outside); take N for round-off.
     rho = math.inf
@@ -312,7 +356,9 @@ def _quadrature(f, side: str, T: QMatrix, contour: Contour,
     proximity guard is ``_trace_distances``, and the round-off sentinel
     ``_mirror_defect`` runs at the lead node nearest the spectrum.  A circle
     enclosing spheres of total multiplicity k > N takes k nodes, rounded up
-    to a multiple of 16, so that no enclosed pole aliases.
+    to a multiple of 16, so that no enclosed pole aliases.  Before any
+    inverse is taken, f's samples on each circle are checked for regularity
+    on its disc (``RegularityError`` above 1e-10 of their largest value).
     """
     spec = spherical_spectrum(T) if spectrum is None else spectrum
     given = contour.nodes_per_circle
@@ -332,6 +378,23 @@ def _quadrature(f, side: str, T: QMatrix, contour: Contour,
             v = Quaternion.from_complex(complex(v))
         fs.append(v.to_array())
     fa, fb = _pair(qmul(qmul(ubar, np.array(fs)), u))  # f' = fa + fb j
+    # On a circle of N nodes the discrete Fourier coefficients of f's C_i
+    # part (holomorphic for f slice-regular on either side) hold its Taylor
+    # coefficients about the center, degree mod N.  Indices N - 2 and N - 1
+    # hold the last degrees the rule resolves, which bound the aliased ones
+    # >= N while they decay, and the frequencies -2 and -1 that a pole or
+    # branch cut of f inside the disc puts there.  Both must be negligible
+    # (index N - p weighs sample k by e^{2 pi i p k/N}).
+    N = contour.nodes_per_circle
+    g = fa.reshape(-1, N)
+    roots = _roots_of_unity(N)
+    top_coef = np.abs(g @ np.stack([roots, roots * roots], axis=1)).max(
+        axis=1) / N
+    if np.any(top_coef > 1e-10 * np.abs(g).max(axis=1)):
+        raise RegularityError(
+            f"f is not slice-regular, or not resolved by {N} nodes, on the "
+            f"disc of a contour circle: top Fourier coefficient "
+            f"{top_coef.max():.3e}")
     if side == "left":   # q = w f' = w fa + w fb j
         a, b = w * fa, w * fb
     else:                # q = f' w = fa w + fb conj(w) j
@@ -400,11 +463,32 @@ def func_calc(f, side: str, T: QMatrix, contour: Contour,
 
     ``f`` maps Quaternion -> Quaternion (numbers are coerced).  ``side`` is
     "left" for (1/2pi) Int S_L^-1(s,T) ds_m f(s) and "right" for
-    (1/2pi) Int f(s) ds_m S_R^-1(s,T).
+    (1/2pi) Int f(s) ds_m S_R^-1(s,T).  On ``build_contour(spheres)`` of the
+    whole spectrum the contour is one circle of 64 nodes (more when T's
+    total multiplicity is larger, see the quadrature), and f must be
+    slice-regular on its whole disc.  When the quadrature's check refuses f
+    on a contour that winds once around every sphere of T, the calculus is
+    taken over one circle (pair) per sphere instead, as ``build_contour``
+    draws them for a split; when it refuses those too, or a contour that
+    leaves spheres out, ``RegularityError`` propagates.  For an f singular
+    near the spectrum, build the contour with its singular points in
+    ``other``.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    return _quadrature(f, side, T, contour, spectrum)
+    spec = spherical_spectrum(T) if spectrum is None else spectrum
+    try:
+        return _quadrature(f, side, T, contour, spec)
+    except RegularityError:
+        if any(contour.winding(s) != 1 for s in spec.spheres):
+            raise
+    spheres = sorted(set(spec.spheres))
+    split = _sized_contour(_sphere_circles(spheres, []), spheres, [],
+                           contour.m, _MIN_NODES)
+    _log.debug("func_calc: f is not regular on the disc of %d circles; "
+               "%d circles of the spheres instead", len(contour.circles),
+               len(split.circles))
+    return _quadrature(f, side, T, split, spec)
 
 
 def calc_adjoint_check(f, T: QMatrix, contour: Contour) -> float:

@@ -272,7 +272,7 @@ def suite_calculus(rng, tols) -> list[dict]:
         spheres = _random_separated_spheres(rng, 2)
         T = _random_normal(rng, [(spheres[0], 2), (spheres[1], 2)])
         spec = spherical_spectrum(T)
-        contour = build_contour(spec.spheres, [], nodes=160)
+        contour = build_contour(spec.spheres)
 
         def f(q):
             return q * q + 2.0 * q + Quaternion(1.0, 0, 0, 0)

@@ -494,15 +494,15 @@ def test_func_calc_on_a_jordan_block_does_not_alias(n):
 
 
 _SPHERE_SETS = {
+    2: ((2.0, 1.0), (8.0, 1.0)),
     3: ((-1.0, 0.5), (0.5, 0.0), (1.2, 0.4)),
     8: tuple((-1.5 + 0.42 * k, 0.0 if k % 2 == 0 else 0.3)
              for k in range(8)),
 }
 
 
-def _similar(count):
-    """T = G D G^-1 with D diagonal on ``count`` spheres, and the projection
-    G E G^-1 onto the first sphere, E selecting its rows of D."""
+def _similar_factors(count):
+    """G (as chi(G)), D and the sphere labels of D's rows for ``_similar``."""
     n = 16
     rng = np.random.default_rng(count)
     spheres = _SPHERE_SETS[count]
@@ -514,8 +514,16 @@ def _similar(count):
         D[r, r, 1:] = spheres[k][1] * m / np.linalg.norm(m)
     G = chi(QMatrix.eye(n) + QMatrix(rng.standard_normal((n, n, 4)))
             * (0.3 / np.sqrt(n)))
+    return G, QMatrix(D), labels
+
+
+def _similar(count):
+    """T = G D G^-1 with D diagonal on ``count`` spheres, and the projection
+    G E G^-1 onto the first sphere, E selecting its rows of D."""
+    spheres = _SPHERE_SETS[count]
+    G, D, labels = _similar_factors(count)
     G_inv = np.linalg.inv(G)
-    T = chi_inv(G @ chi(QMatrix(D)) @ G_inv, tol=1e-10)
+    T = chi_inv(G @ chi(D) @ G_inv, tol=1e-10)
     E = np.diag(np.tile(labels == 0, 2).astype(float))
     P_ref = chi_inv(G @ E @ G_inv, tol=1e-10)
     spec = spherical_spectrum(T)
@@ -587,3 +595,139 @@ def test_idempotent_residual_sees_an_aliased_jordan_pole():
     err = op_norm(P - QMatrix.eye(24))
     assert err == pytest.approx(1.35 ** -16, rel=1e-9)  # 8.22e-3
     assert op_norm(P @ P - P) == pytest.approx(err, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the whole spectrum: one enclosing circle when nothing is excluded
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("spheres,nodes", [
+    (_SPHERE_SETS[3], 64), (_SPHERE_SETS[8], 64),
+    (((-2.0, 0.0), (3.0, 0.0)), 64), (((0.5, 0.25),), 32),
+], ids=["3", "8", "two-real", "lone-nonreal"])
+def test_contour_without_other_is_one_enclosing_circle(spheres, nodes):
+    """Center mid-way along the real range, radius twice the farthest trace
+    (rho = 2, 64 nodes whatever the number of spheres) but at least 0.9."""
+    sigma = [Sphere(*s) for s in spheres]
+    c = build_contour(sigma)
+    center = 0.5 * (min(s.re for s in sigma) + max(s.re for s in sigma))
+    d0 = max(np.hypot(s.re - center, s.rad) for s in sigma)
+    assert c.circles == (Circle(center, max(2.0 * d0, 0.9)),)
+    assert c.nodes_per_circle == nodes
+    for s in sigma:
+        assert c.circles[0].contains(s.re, s.rad)
+        assert c.circles[0].contains(s.re, -s.rad)
+
+
+@pytest.mark.parametrize("sigma", [
+    [Sphere(0.5, 0.0)], [Sphere(0.5, 0.0), Sphere(0.5 + 1e-9, 1e-9)],
+], ids=["exact", "jittered"])
+def test_lone_real_sphere_keeps_its_16_node_circle(sigma):
+    (circle,) = build_contour(sigma).circles
+    assert circle.center == pytest.approx(0.5, abs=1e-9)
+    assert (circle.radius, circle.height) == (0.9, 0.0)
+    assert build_contour(sigma).nodes_per_circle == 16
+
+
+@pytest.mark.parametrize("n", [12, 48, 96])
+@pytest.mark.parametrize("which", ["normal", "nonnormal"])
+def test_func_calc_square_on_the_paper_operators(which, n):
+    """Per-sphere circles about the nonnormal example's spheres sit inside
+    its pseudospectrum, where the rule's sum is off by a relative 5e26 at
+    n = 48 and nothing raises; the one enclosing circle keeps clear of it."""
+    T = paper_example(which, n).T.matrix
+    spec = spherical_spectrum(T)
+    F = func_calc(lambda q: q * q, "right", T, build_contour(spec.spheres),
+                  spec)
+    TT = T @ T
+    assert op_norm(F - TT) <= 1e-13 * op_norm(TT)
+
+
+def _qexp(q):
+    """e^q = e^a (cos|v| + v sin|v| / |v|) for q = a + v."""
+    r = q.im_norm()
+    return np.exp(q.re) * (Quaternion(np.cos(r)) + q.im() * np.sinc(r / np.pi))
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("count", [3, 8])
+def test_func_calc_exp_against_similarity_oracle(count, side):
+    """exp(G D G^-1) = G exp(D) G^-1 on a non-normal T, over one circle."""
+    G, D, _ = _similar_factors(count)
+    G_inv = np.linalg.inv(G)
+    T = chi_inv(G @ chi(D) @ G_inv, tol=1e-10)
+    expD = QMatrix.diag([_qexp(Quaternion.from_array(D.entries[r, r]))
+                         for r in range(D.rows)])
+    ref = chi_inv(G @ chi(expD) @ G_inv, tol=1e-10)
+    spec = spherical_spectrum(T)
+    F = func_calc(_qexp, side, T, build_contour(spec.spheres), spec)
+    assert op_norm(F - ref) <= 1e-13 * op_norm(ref)
+
+
+def _qlog(q):
+    """Principal log: ln|q| + (v/|v|) atan2(|v|, a) for q = a + v, and
+    ln|a| + pi i on the negative real axis (its value from the upper half
+    of C_i)."""
+    r = q.im_norm()
+    if r == 0.0:
+        return Quaternion(np.log(abs(q.re)), np.pi if q.re < 0.0 else 0.0)
+    return Quaternion(np.log(abs(q))) + q.im() * (np.arctan2(r, q.re) / r)
+
+
+def test_func_calc_falls_back_when_exp_is_unresolved_on_the_circle():
+    """On spheres from -20 to 20 the one circle has radius 40, where 64 nodes
+    leave e^q's degree-64 term 40^64/64! (relative error ~1e5): f's top
+    Fourier coefficients refuse it, and the spheres' own circles of radius
+    2.25 give e^T."""
+    xs = range(-20, 21, 5)
+    T = QMatrix.diag([Quaternion(float(x)) for x in xs])
+    spec = spherical_spectrum(T)
+    c = build_contour(spec.spheres)
+    assert c.circles == (Circle(0.0, 40.0),)
+    with pytest.raises(scalculus.RegularityError):
+        scalculus._quadrature(_qexp, "right", T, c, spec)
+    ref = QMatrix.diag([Quaternion(float(np.exp(x))) for x in xs])
+    for side in ("left", "right"):
+        F = func_calc(_qexp, side, T, c, spec)
+        assert op_norm(F - ref) <= 1e-13 * op_norm(ref)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_func_calc_falls_back_when_the_disc_crosses_a_branch_cut(side):
+    """Spheres at re 2 and 8 put the one circle over [-1.3, 11.3], across
+    log's cut at the negative reals; the spheres' own circles keep clear of
+    it.  Oracle log(G D G^-1) = G log(D) G^-1."""
+    G, D, _ = _similar_factors(2)
+    G_inv = np.linalg.inv(G)
+    T = chi_inv(G @ chi(D) @ G_inv, tol=1e-10)
+    logD = QMatrix.diag([_qlog(Quaternion.from_array(D.entries[r, r]))
+                         for r in range(D.rows)])
+    ref = chi_inv(G @ chi(logD) @ G_inv, tol=1e-10)
+    spec = spherical_spectrum(T)
+    c = build_contour(spec.spheres)
+    assert c.circles[0].center - c.circles[0].radius < 0.0
+    F = func_calc(_qlog, side, T, c, spec)
+    assert op_norm(F - ref) <= 1e-13 * op_norm(ref)
+
+
+def test_func_calc_singular_f_names_its_poles_in_other():
+    """q^-1 is singular at 0, inside the one enclosing circle, and 0.14 from
+    the circle the sphere at 0.5 gets on its own, where 48 nodes resolve
+    q^-1 only to 0.73^48 ~ 2e-7: both are refused.  Naming 0 in ``other``
+    shrinks that circle to 0.225 and gives T^-1."""
+    T, _, spec, _, _ = _similar(3)
+    T_inv = chi_inv(np.linalg.inv(chi(T)), tol=1e-10)
+
+    def inverse(q):
+        return q.inverse()
+
+    F = func_calc(inverse, "right", T,
+                  build_contour(spec.spheres, [Sphere(0.0, 0.0)]), spec)
+    assert op_norm(F - T_inv) <= 1e-13 * op_norm(T_inv)
+    with pytest.raises(scalculus.RegularityError):
+        func_calc(inverse, "right", T, build_contour(spec.spheres), spec)
+    # a split contour has no fallback: its refusal is the caller's
+    sig = [s for s in spec.spheres if abs(s.re - 0.5) < 1e-8]
+    tau = [s for s in spec.spheres if s not in sig]
+    with pytest.raises(scalculus.RegularityError):
+        func_calc(inverse, "left", T, build_contour(sig, tau), spec)
