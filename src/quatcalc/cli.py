@@ -15,7 +15,7 @@ import os
 import sys
 
 from .quaternion import Sphere
-from .qmatrix import QMatrix, op_norm
+from .qmatrix import QMatrix, norm_scale, op_norm
 from .spectrum import (SpectrumProximityError, _delta_singular_values,
                        spherical_spectrum)
 from .scalculus import riesz_decompose, SeparationError, PartitionError
@@ -121,7 +121,7 @@ def cmd_riesz(args) -> int:
     pair = riesz_decompose(T, sigma)
     step_keys = ["idempotent_sigma", "commute_sigma"]
     # self-adjointness of the projection is an invariant for normal T only
-    scale = max(op_norm(T), 1.0)
+    scale = norm_scale(T)
     if op_norm(T @ T.adjoint() - T.adjoint() @ T) <= 1e-10 * scale ** 2:
         step_keys.append("self_adjoint_sigma")
     ok = (max(pair.residuals[k] for k in step_keys) <= tols["riesz-step"]

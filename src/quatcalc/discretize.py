@@ -98,7 +98,7 @@ def kernel_op(k, n: int, kind: str = "kernel") -> GridOperator:
             if not isinstance(v, Quaternion):
                 v = Quaternion(float(v), 0.0, 0.0, 0.0)
             ent[r, c] = h * v.to_array()
-    return GridOperator(n, kind, QMatrix(ent))
+    return GridOperator(n, kind, QMatrix._adopt(ent))
 
 
 def _half_xy_kernel(n: int, power: int, kind: str) -> GridOperator:
@@ -109,19 +109,33 @@ def _half_xy_kernel(n: int, power: int, kind: str) -> GridOperator:
         k = k * x[None, :]
     ent = np.zeros((n, n, 4))
     ent[..., 0] = (1.0 / n) * k
-    return GridOperator(n, kind, QMatrix(ent))
+    return GridOperator(n, kind, QMatrix._adopt(ent))
+
+
+def _volterra_weights(n: int) -> np.ndarray:
+    """1 below the diagonal, 1/2 on it (the half-diagonal convention), 0 above."""
+    weights = np.tri(n, k=-1)
+    weights[np.diag_indices(n)] = 0.5
+    return weights
 
 
 def volterra_op(n: int, coeff: Quaternion | float = 0.5,
                 kind: str = "volterra") -> GridOperator:
-    """(V g)(x) = coeff * Int_0^x g(y) dy with the half-diagonal convention."""
+    """(V g)(x) = coeff * Int_0^x g(y) dy with the half-diagonal convention.
+
+    The (n, n, 4) entries h * weight * coeff are written once, into the
+    array the ``QMatrix`` adopts: no temporary of that size is made.
+    """
     if not isinstance(coeff, Quaternion):
         coeff = Quaternion(float(coeff), 0.0, 0.0, 0.0)
-    h = 1.0 / n
-    weights = np.tril(np.ones((n, n)), -1) + 0.5 * np.eye(n)
-    ent = np.einsum("rc,q->rcq", h * weights, coeff.to_array())
+    c = coeff.to_array()
+    hw = _volterra_weights(n)
+    hw *= 1.0 / n
+    ent = np.multiply(hw[:, :, None], c, out=np.empty((n, n, 4)))
+    if np.signbit(c).any():
+        ent += 0.0  # a zero weight times a negative part is -0.0; keep +0.0
     return GridOperator(
-        n, kind, QMatrix(ent),
+        n, kind, QMatrix._adopt(ent),
         metadata={"diagonal_weight": "h/2 (half cell below midpoint)"})
 
 
@@ -173,9 +187,10 @@ def paper_example(which: str, n: int) -> ExampleBundle:
         K = volterra_op(n, coeff=j * Quaternion(0.5, 0, 0, 0))
         # (j/2) Int_0^x y g(y) dy with the same half-diagonal convention
         x = grid_points(n)
-        weights = np.tril(np.ones((n, n)), -1) + 0.5 * np.eye(n)
-        KY = np.einsum("rc,c,q->rcq", weights / n, x, j.to_array()) * 0.5
-        Tm = W.matrix @ S.matrix + QMatrix(KY)
+        KY = np.einsum("rc,c,q->rcq", _volterra_weights(n) / n, x,
+                       j.to_array())
+        KY *= 0.5
+        Tm = W.matrix @ S.matrix + QMatrix._adopt(KY)
         norm_K_expected = 1.0 / math.pi
         norm_K_bound = 0.5
         T = GridOperator(n, "nonnormal", Tm, metadata=K.metadata)

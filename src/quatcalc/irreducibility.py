@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .quaternion import Sphere, circularize
-from .qmatrix import QMatrix, chi, chi_inv, chi_vec_inv, extend, op_norm
+from .qmatrix import (QMatrix, chi, chi_inv, chi_vec_inv, extend, norm_scale,
+                      op_norm)
 from .spectrum import spherical_spectrum, SphericalSpectrum
 from .scalculus import build_contour, riesz_projection
 
@@ -57,7 +58,7 @@ def _commutant(T: QMatrix) -> list[QMatrix]:
         raise ValueError(f"the commutant oracle is limited to n <= "
                          f"{_ORACLE_MAX_N}, got n = {n}")
     dim = 4 * n * n
-    scale = max(op_norm(T), 1.0)
+    scale = norm_scale(T)
     rows = np.empty((dim, dim))
     for k in range(dim):
         e = np.zeros(dim)
@@ -95,7 +96,7 @@ def _reducing_eigenvector(M: np.ndarray) -> QMatrix:
     hold, v spans a reducing subspace: ET = v lam v* = TE.
     """
     psi = np.linalg.svd(np.vstack([M, M.conj().T]))[2][-1].conj()
-    v = QMatrix(chi_vec_inv(psi[:, None]))
+    v = QMatrix._adopt(chi_vec_inv(psi[:, None]))
     return v @ v.adjoint()
 
 
@@ -117,7 +118,7 @@ def is_strongly_irreducible(T: QMatrix,
     if not T.is_square:
         raise ValueError("strong irreducibility requires a square matrix")
     spec = spherical_spectrum(T)
-    scale = max(op_norm(T), 1.0)
+    scale = norm_scale(T)
 
     def report(verdict, detail, E=None):
         return StrongIrreducibilityReport(verdict, E, spec, detail)
@@ -300,6 +301,6 @@ def _find_idempotent(T: QMatrix, seed: int = 0) -> QMatrix | None:
         if np.linalg.norm(E) < 1e-6 or np.linalg.norm(E - eye) < 1e-6:
             continue
         Q = chi_inv(E, tol=1e-8)
-        if op_norm(Q @ T - T @ Q) <= 1e-8 * max(op_norm(T), 1.0):
+        if op_norm(Q @ T - T @ Q) <= 1e-8 * norm_scale(T):
             return Q
     return None

@@ -39,6 +39,7 @@ __all__ = [
     "chi_vec",
     "chi_vec_inv",
     "op_norm",
+    "norm_scale",
     "positive_sqrt",
     "modulus",
     "polar",
@@ -53,7 +54,14 @@ __all__ = [
 
 
 class QMatrix:
-    """Immutable quaternion matrix; entries array has shape (rows, cols, 4)."""
+    """Immutable quaternion matrix; entries array has shape (rows, cols, 4).
+
+    ``QMatrix(e)`` copies ``e``, so an array that stays with the caller can
+    be changed later without touching the matrix.  Arrays the library has
+    just built (the results of the algebra, the builders, ``chi_inv``, the
+    grid operators) are adopted by ``QMatrix._adopt`` without a copy.  Either
+    way the entries are a read-only, C-contiguous float64 array.
+    """
 
     __slots__ = ("entries",)
 
@@ -65,6 +73,22 @@ class QMatrix:
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
 
+    @classmethod
+    def _adopt(cls, entries: np.ndarray) -> "QMatrix":
+        """Wrap a fresh array that no one else holds, without a copy.
+
+        ``entries`` must be C-contiguous float64 of shape (rows, cols, 4),
+        the layout ``QMatrix(e)`` makes; it becomes read-only.
+        """
+        if not (entries.dtype == np.float64 and entries.ndim == 3
+                and entries.shape[2] == 4 and entries.flags.c_contiguous):
+            raise ValueError("entries must be a C-contiguous float64 array "
+                             "of shape (rows, cols, 4)")
+        entries.setflags(write=False)
+        T = object.__new__(cls)
+        object.__setattr__(T, "entries", entries)
+        return T
+
     def __setattr__(self, name, value):
         raise AttributeError("QMatrix is immutable")
 
@@ -73,13 +97,11 @@ class QMatrix:
     @staticmethod
     def zeros(rows: int, cols: int | None = None) -> "QMatrix":
         cols = rows if cols is None else cols
-        return QMatrix(np.zeros((rows, cols, 4)))
+        return QMatrix._adopt(np.zeros((rows, cols, 4)))
 
     @staticmethod
     def eye(n: int) -> "QMatrix":
-        e = np.zeros((n, n, 4))
-        e[np.arange(n), np.arange(n), 0] = 1.0
-        return QMatrix(e)
+        return QMatrix.real_scalar(n, 1.0)
 
     @staticmethod
     def diag(values) -> "QMatrix":
@@ -88,7 +110,7 @@ class QMatrix:
         e = np.zeros((n, n, 4))
         for r, v in enumerate(vals):
             e[r, r] = v.to_array()
-        return QMatrix(e)
+        return QMatrix._adopt(e)
 
     @staticmethod
     def from_complex(M: np.ndarray) -> "QMatrix":
@@ -97,13 +119,13 @@ class QMatrix:
         e = np.zeros((*M.shape, 4))
         e[..., 0] = M.real
         e[..., 1] = M.imag
-        return QMatrix(e)
+        return QMatrix._adopt(e)
 
     @staticmethod
     def real_scalar(n: int, value: float) -> "QMatrix":
         e = np.zeros((n, n, 4))
         e[np.arange(n), np.arange(n), 0] = value
-        return QMatrix(e)
+        return QMatrix._adopt(e)
 
     # -- shape / access ------------------------------------------------------
 
@@ -126,16 +148,16 @@ class QMatrix:
     # -- algebra -------------------------------------------------------------
 
     def __add__(self, other: "QMatrix") -> "QMatrix":
-        return QMatrix(self.entries + other.entries)
+        return QMatrix._adopt(self.entries + other.entries)
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
-        return QMatrix(self.entries - other.entries)
+        return QMatrix._adopt(self.entries - other.entries)
 
     def __neg__(self) -> "QMatrix":
-        return QMatrix(-self.entries)
+        return QMatrix._adopt(-self.entries)
 
     def __mul__(self, scalar: float) -> "QMatrix":
-        return QMatrix(self.entries * float(scalar))
+        return QMatrix._adopt(self.entries * float(scalar))
 
     __rmul__ = __mul__
 
@@ -144,19 +166,20 @@ class QMatrix:
             raise ValueError("shape mismatch in quaternion matmul")
         A1, B1 = _pair(self.entries)
         A2, B2 = _pair(other.entries)
-        return QMatrix(_unpair(A1 @ A2 - B1 @ B2.conj(),
-                               A1 @ B2 + B1 @ A2.conj()))
+        return QMatrix._adopt(_unpair(A1 @ A2 - B1 @ B2.conj(),
+                                      A1 @ B2 + B1 @ A2.conj()))
 
     def adjoint(self) -> "QMatrix":
-        return QMatrix(np.transpose(qconj(self.entries), (1, 0, 2)))
+        return QMatrix._adopt(np.ascontiguousarray(
+            np.transpose(qconj(self.entries), (1, 0, 2))))
 
     def scale_left(self, q: Quaternion) -> "QMatrix":
         """q . T  (left module action: entrywise left multiplication by q)."""
-        return QMatrix(qmul(q.to_array(), self.entries))
+        return QMatrix._adopt(qmul(q.to_array(), self.entries))
 
     def scale_right(self, q: Quaternion) -> "QMatrix":
         """T . q  (right module action: entrywise right multiplication by q)."""
-        return QMatrix(qmul(self.entries, q.to_array()))
+        return QMatrix._adopt(qmul(self.entries, q.to_array()))
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Left action on an (n, 4) quaternionic column vector."""
@@ -173,10 +196,10 @@ class QMatrix:
 
     @staticmethod
     def from_json(obj: dict) -> "QMatrix":
-        data = np.asarray(obj["data"], dtype=float)
+        data = np.array(obj["data"], dtype=float, order="C")
         if data.shape != (obj["rows"], obj["cols"], 4):
             raise ValueError("matrix data does not match declared shape")
-        return QMatrix(data)
+        return QMatrix._adopt(data)
 
     def __repr__(self) -> str:
         return f"QMatrix({self.rows}x{self.cols})"
@@ -245,7 +268,7 @@ def chi_inv(M: np.ndarray, tol: float = 1e-12) -> QMatrix:
                          f"(defect {_chi_defect(M):.3e}, scale {scale:.3e})")
     A = 0.5 * (M[:n, :m] + M[n:, m:].conj())
     B = 0.5 * (M[:n, m:] - M[n:, :m].conj())
-    return QMatrix(_unpair(A, B))
+    return QMatrix._adopt(_unpair(A, B))
 
 
 def _mirror_defect(M: np.ndarray, z: complex, R: np.ndarray) -> float:
@@ -335,6 +358,27 @@ def op_norm(T: QMatrix) -> float:
         s * math.sqrt(max(float(np.linalg.eigvalsh(G)[-1]), 0.0)), -shift)
 
 
+def norm_scale(T: QMatrix) -> float:
+    """max(||T||, 1), equal bit for bit to ``max(op_norm(T), 1.0)``.
+
+    The Schur test bounds ||T|| by sqrt(max row sum * max column sum) of the
+    entry moduli |T_rc|, in O(n m).  Rounding moves that bound and
+    ``op_norm`` by a relative amount of order (n + m) eps, so when the bound
+    is below 1 by more than 1e-12 + 8 (n + m) eps, ``op_norm`` is below 1
+    too and the scale is 1.0 without a Gram matrix or an eigensolver.
+    Otherwise (and on a non-finite entry, which ``op_norm`` reports with a
+    ``ValueError``) the scale is ``max(op_norm(T), 1.0)``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: op_norm
+        moduli = np.sqrt(np.einsum("rcq,rcq->rc", T.entries, T.entries))
+        bound = math.sqrt(moduli.sum(axis=1).max(initial=0.0)
+                          * moduli.sum(axis=0).max(initial=0.0))
+    slack = 1e-12 + 8 * (T.rows + T.cols) * np.finfo(float).eps
+    if bound < 1.0 - slack:
+        return 1.0
+    return max(op_norm(T), 1.0)
+
+
 def positive_sqrt(T: QMatrix, tol: float = 1e-10) -> QMatrix:
     """Unique positive square root of a positive operator.
 
@@ -418,7 +462,7 @@ def gram_schmidt(Z: np.ndarray, k: int, tol: float) -> tuple[list[int], QMatrix]
     if len(kept) < k:
         raise RuntimeError(f"found {len(kept)} of {k} quaternionic "
                            "orthonormal vectors")
-    return kept, QMatrix(chi_vec_inv(V[:, 0::2]))
+    return kept, QMatrix._adopt(chi_vec_inv(V[:, 0::2]))
 
 
 def normal_eigensystem(T: QMatrix, tol: float = 1e-9) -> tuple[np.ndarray, QMatrix]:
@@ -432,7 +476,7 @@ def normal_eigensystem(T: QMatrix, tol: float = 1e-9) -> tuple[np.ndarray, QMatr
         raise ValueError("eigensystem requires a square matrix")
     n = T.rows
     N = chi(T)
-    scale = max(op_norm(T), 1.0)
+    scale = norm_scale(T)
     defect = np.abs(N @ N.conj().T - N.conj().T @ N).max(initial=0.0)
     if defect > tol * scale ** 2 * 10:
         raise ValueError(f"matrix is not normal (defect {defect:.3e})")
@@ -523,7 +567,7 @@ def plus_eigenbasis(J: QMatrix, tol: float = 1e-10) -> QMatrix:
     plus = V[:, lam > 0.0]
     if plus.shape[1] != n:
         raise ValueError("+i eigenspace of J has wrong dimension")
-    return QMatrix(chi_vec_inv(plus))
+    return QMatrix._adopt(chi_vec_inv(plus))
 
 
 def extend(Tp: np.ndarray, J: QMatrix, basis: QMatrix | None = None) -> QMatrix:
@@ -545,7 +589,7 @@ def extend(Tp: np.ndarray, J: QMatrix, basis: QMatrix | None = None) -> QMatrix:
 def restrict(V: QMatrix, J: QMatrix, tol: float = 1e-10,
              basis: QMatrix | None = None) -> np.ndarray:
     """Complex matrix of a J-commuting operator restricted to H_+^{Ji}."""
-    scale = max(op_norm(V), 1.0)
+    scale = norm_scale(V)
     if op_norm(J @ V - V @ J) > tol * scale * 10:
         raise ValueError("operator does not commute with J; no restriction exists")
     U = plus_eigenbasis(J) if basis is None else basis

@@ -60,7 +60,7 @@ import numpy as np
 from .quaternion import (UNIT_I, ImaginaryUnit, Quaternion, Sphere,
                          _slice_rotor, circularize, qconj, qmul)
 from .qmatrix import (QMatrix, _mirror_defect, _pair, _unpair, chi,
-                      gram_schmidt, op_norm)
+                      gram_schmidt, norm_scale, op_norm)
 from .spectrum import (SphericalSpectrum, _trace_distances, hausdorff_distance,
                        spherical_spectrum)
 
@@ -400,7 +400,7 @@ def _quadrature(f, side: str, T: QMatrix, contour: Contour,
     else:                # q = f' w = fa w + fb conj(w) j
         a, b = fa * w, fb * w.conj()
     n = T.rows
-    Tc = chi(QMatrix(qmul(qmul(ubar, T.entries), u)))
+    Tc = chi(QMatrix._adopt(qmul(qmul(ubar, T.entries), u)))
     c = b[partner]  # node k adds a_k R_k[:n] + c_k R_k[n:] to the top rows
     if side == "left":
         # columns of R are the rows of inv(chi(T')^T - z) = R^T
@@ -446,7 +446,7 @@ def _quadrature(f, side: str, T: QMatrix, contour: Contour,
     A, B = top[:, :n], top[:, n:]
     if side == "left":
         A, B = A.T, -B.conj().T
-    return QMatrix(qmul(qmul(u, _unpair(A, B)), ubar))
+    return QMatrix._adopt(qmul(qmul(u, _unpair(A, B)), ubar))
 
 
 def riesz_projection(T: QMatrix, contour: Contour,
@@ -580,7 +580,7 @@ def riesz_decompose(T: QMatrix, sigma) -> RieszPair:
         "idempotent_sigma": op_norm(P_sigma @ P_sigma - P_sigma),
         "self_adjoint_sigma": op_norm(P_sigma - P_sigma.adjoint()),
         "commute_sigma": (op_norm(T @ P_sigma - P_sigma @ T)
-                          / max(op_norm(T), 1.0)),
+                          / norm_scale(T)),
         "spectrum_sigma_hausdorff": hausdorff_distance(
             spec_sigma.spheres, sig),
         "spectrum_tau_hausdorff": hausdorff_distance(

@@ -13,7 +13,8 @@ import numpy as np
 from .quaternion import (UNIT_I, ImaginaryUnit, Quaternion, Sphere,
                          _slice_rotor, circularize, qconj, qmul, slice_embed)
 from .qmatrix import (QMatrix, _mirror_defect, _slice_matrix, _unpair, chi,
-                      op_norm)
+                      norm_scale)
+from .qmatrix import op_norm  # noqa: F401  (kept importable from this module)
 
 __all__ = [
     "SphericalSpectrum",
@@ -97,7 +98,7 @@ def spherical_spectrum(T: QMatrix, tol: float = 1e-9) -> SphericalSpectrum:
     """
     if not T.is_square:
         raise ValueError("spectrum requires a square matrix")
-    scale = max(op_norm(T), 1.0)
+    scale = norm_scale(T)
     eigs = _chi_eigenvalues(T)
     spheres, home = circularize(eigs, tol * scale)
     count = np.bincount(home, minlength=len(spheres))
@@ -120,7 +121,7 @@ def _delta_singular_values(T: QMatrix, sp: Sphere) -> np.ndarray:
 def point_spectrum(T: QMatrix, tol: float = 1e-8) -> SphericalSpectrum:
     """Spheres where Delta_q(T) has nontrivial kernel, with dim_H of the kernel."""
     spec = spherical_spectrum(T)
-    scale = max(op_norm(T), 1.0)
+    scale = norm_scale(T)
     spheres, dims = [], []
     for sp in spec.spheres:
         sv = _delta_singular_values(T, sp)
@@ -144,7 +145,7 @@ def _trace_distances(T: QMatrix, spec: SphericalSpectrum,
                      z: np.ndarray) -> np.ndarray:
     """Distances of slice points z = x + iy to the spectrum: the proximity
     guard raises ``SpectrumProximityError`` within 1e-8 max(||T||, 1)."""
-    scale = max(op_norm(T), 1.0)
+    scale = norm_scale(T)
     traces = np.array([(sp.re, sp.rad) for sp in spec.spheres]).reshape(-1, 2)
     dist = np.hypot(z.real[:, None] - traces[:, 0], np.abs(z.imag)[:, None]
                     - traces[:, 1]).min(axis=1, initial=np.inf)
@@ -182,15 +183,16 @@ def s_resolvent(T: QMatrix, s: Quaternion,
     u = _slice_rotor(ImaginaryUnit.normalized(s.x, s.y, s.z) if z.imag
                      else UNIT_I)
     n, ubar = T.rows, qconj(u)
-    M = chi(QMatrix(qmul(qmul(ubar, T.entries), u)))
+    M = chi(QMatrix._adopt(qmul(qmul(ubar, T.entries), u)))
     R = np.linalg.inv(M - z * np.eye(2 * n))
     defect = _mirror_defect(M, z, R)
     if defect > 1e-6 * np.abs(R).max(initial=0.0):
         raise ValueError(f"S-resolvent round-off check: defect {defect:.3e}")
     left = _unpair(-R[:n, :n], R[n:, :n].conj())
     right = _unpair(-R[:n, :n], -R[:n, n:])
-    return SResolventSample(s=s, left=QMatrix(qmul(qmul(u, left), ubar)),
-                            right=QMatrix(qmul(qmul(u, right), ubar)))
+    return SResolventSample(
+        s=s, left=QMatrix._adopt(qmul(qmul(u, left), ubar)),
+        right=QMatrix._adopt(qmul(qmul(u, right), ubar)))
 
 
 def hausdorff_distance(a, b) -> float:

@@ -1,9 +1,11 @@
+import gc
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from quatcalc.qmatrix import QMatrix, op_norm
+from quatcalc.qmatrix import QMatrix, norm_scale, op_norm
 from quatcalc.quaternion import Quaternion, Sphere
 from quatcalc.spectrum import spherical_spectrum
 from quatcalc.discretize import (
@@ -200,3 +202,66 @@ def test_factor_S_is_shifted_multiplication():
             if r != c:
                 assert abs(b.S.matrix[r, c]) == 0.0
     assert op_norm(S - S.adjoint()) == 0.0
+
+
+def _einsum_volterra(n: int, coeff: Quaternion) -> np.ndarray:
+    """Reference entries: the einsum formula volterra_op used to evaluate."""
+    h = 1.0 / n
+    weights = np.tril(np.ones((n, n)), -1) + 0.5 * np.eye(n)
+    return np.einsum("rc,q->rcq", h * weights, coeff.to_array())
+
+
+@pytest.mark.parametrize("n", [3, 96, 1024])
+@pytest.mark.parametrize("coeff", [
+    Quaternion(0.5, 0, 0, 0),
+    Quaternion(0, 0, 0.5, 0),
+    Quaternion(*np.random.default_rng(11).standard_normal(4)),
+], ids=["one-half", "j-half", "random"])
+def test_volterra_op_matches_the_einsum_formula_bitwise(n, coeff):
+    """Built in place, the entries equal the einsum formula byte for byte,
+    signed zeros included (the random coefficient has negative parts)."""
+    got = volterra_op(n, coeff).matrix.entries
+    assert got.tobytes() == _einsum_volterra(n, coeff).tobytes()
+
+
+def test_volterra_op_norm_peak_memory_is_within_1_6_entries():
+    """Building the n = 512 Volterra matrix and taking its norm holds at
+    most 1.6 times the entries' bytes at once (traced by tracemalloc):
+    the entries are written once, into the array the QMatrix adopts."""
+    op_norm(volterra_op(8).matrix)   # first calls load lazy numpy modules
+    gc.collect()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        op_norm(volterra_op(512).matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * 512 * 512 * 4 * 8
+
+
+def test_grid_builders_make_read_only_c_contiguous_entries():
+    b = paper_example("nonnormal", 12)
+    built = [mult_op(lambda t: t, 5), kernel_op(lambda x, y: x * y, 5),
+             _half_xy_kernel(5, 2, kind="k"), volterra_op(5),
+             b.T, b.W, b.K, b.S]
+    for op in built:
+        e = op.matrix.entries
+        assert e.flags.c_contiguous and not e.flags.writeable
+        assert e.dtype == np.float64
+
+
+@pytest.mark.parametrize("which", ["normal", "nonnormal"])
+def test_paper_operators_are_scaled_by_the_schur_bound_alone(which,
+                                                             monkeypatch):
+    """Both paper operators have a Schur bound below 1, so norm_scale
+    returns 1.0 without the eigensolver behind op_norm."""
+    import quatcalc.qmatrix as qm
+
+    T = paper_example(which, 96).T.matrix
+
+    def refuse(T):
+        raise AssertionError("op_norm called")
+
+    monkeypatch.setattr(qm, "op_norm", refuse)
+    assert norm_scale(T) == 1.0

@@ -10,6 +10,8 @@ import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
 from quatcalc.quaternion import Quaternion, UNIT_I, qmul
+from quatcalc.scalculus import build_contour, riesz_projection
+from quatcalc.spectrum import s_resolvent, spherical_spectrum
 from quatcalc.qmatrix import (
     QMatrix,
     _slice_matrix,
@@ -18,7 +20,9 @@ from quatcalc.qmatrix import (
     chi_inv,
     chi_vec,
     extend,
+    gram_schmidt,
     modulus,
+    norm_scale,
     normal_eigensystem,
     op_norm,
     plus_eigenbasis,
@@ -212,6 +216,59 @@ def test_op_norm_rejects_non_finite_entries(bad, parts):
         op_norm(QMatrix(e))
 
 
+@settings(max_examples=120, deadline=None)
+@example(r=0, c=0, parts=4, seed=0, target=1.0)
+@example(r=3, c=2, parts=4, seed=0, target=0.0)
+@example(r=1, c=1, parts=1, seed=0, target=1 - 1e-13)
+@example(r=1, c=1, parts=2, seed=0, target=1 + 1e-13)
+@given(r=st.integers(0, 8), c=st.integers(0, 8), parts=st.sampled_from([1, 2, 4]),
+       seed=st.integers(0, 2 ** 32 - 1),
+       target=st.sampled_from([None, 0.0, 0.1, 0.5, 0.9, 1 - 1e-13, 1.0,
+                               1 + 1e-13, 3.0]))
+def test_norm_scale_is_max_of_op_norm_and_one_bitwise(r, c, parts, seed, target):
+    """The Schur-test shortcut never changes the scale: equal bit for bit to
+    max(op_norm(T), 1.0), also with ||T|| within 1e-13 of 1 either side
+    (``target`` rescales T to that norm; None keeps the raw draw)."""
+    e = np.zeros((r, c, 4))
+    e[..., :parts] = np.random.default_rng(seed).standard_normal((r, c, parts))
+    raw = op_norm(QMatrix(e))
+    if target is not None and raw > 0.0:
+        e *= target / raw
+    T = QMatrix(e)
+    assert norm_scale(T).hex() == max(op_norm(T), 1.0).hex()
+
+
+def test_norm_scale_skips_op_norm_when_the_schur_bound_is_below_one(
+        rng, monkeypatch):
+    import quatcalc.qmatrix as qm
+
+    T = rand_q(rng, (6, 6))
+    small = T * (0.9 / _schur_bound(T))
+    monkeypatch.setattr(qm, "op_norm", _refuse)
+    assert norm_scale(small) == 1.0
+    with pytest.raises(AssertionError, match="op_norm"):
+        norm_scale(small * 1.2)   # bound 1.08, though ||T|| may be below 1
+
+
+def _schur_bound(T: QMatrix) -> float:
+    moduli = np.linalg.norm(T.entries, axis=2)
+    return float(np.sqrt(moduli.sum(axis=1).max() * moduli.sum(axis=0).max()))
+
+
+def _refuse(T):
+    raise AssertionError("op_norm called")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("parts", [1, 4], ids=["real", "general"])
+def test_norm_scale_rejects_non_finite_entries(bad, parts):
+    e = np.zeros((3, 4, 4))
+    e[..., :parts] = 1e-3 * np.random.default_rng(5).standard_normal((3, 4, parts))
+    e[1, 2, parts - 1] = bad
+    with pytest.raises(ValueError, match=r"non-finite entry .* at \(1, 2\)"):
+        norm_scale(QMatrix(e))
+
+
 def test_chi_inv_rejects_incompatible_matrix():
     M = np.arange(16, dtype=complex).reshape(4, 4)
     with pytest.raises(ValueError):
@@ -357,3 +414,76 @@ def test_json_round_trip(rng):
     assert obj["rows"] == 2 and obj["cols"] == 3
     B = QMatrix.from_json(obj)
     assert op_norm(A - B) == 0.0
+
+
+def test_qmatrix_copies_the_callers_array(rng):
+    e = rng.standard_normal((3, 4, 4))
+    before = e.copy()
+    T = QMatrix(e)
+    e[...] = 7.0
+    assert np.array_equal(T.entries, before)
+    F = np.asfortranarray(before)
+    assert QMatrix(F).entries.flags.c_contiguous
+    assert not np.shares_memory(QMatrix(F).entries, F)
+
+
+def _every_builder_and_operation(rng):
+    """name -> (result, operand entries it must not share memory with)."""
+    A, B = rand_q(rng, (3, 3)), rand_q(rng, (3, 3))
+    row, col = rand_q(rng, (1, 4)), rand_q(rng, (4, 1))
+    M = chi(A)
+    q = Quaternion(0.3, -1.0, 0.5, 2.0)
+    J = _random_J(rng, 3)
+    far = Quaternion(10.0, 1.0, 0.0, 0.0)
+    spheres = spherical_spectrum(A).spheres
+    return {
+        "QMatrix(e)": (QMatrix(A.entries), [A]),
+        "zeros": (QMatrix.zeros(2, 3), []),
+        "eye": (QMatrix.eye(3), []),
+        "diag": (QMatrix.diag([1.0, 2j, q]), []),
+        "real_scalar": (QMatrix.real_scalar(3, 2.5), []),
+        "from_complex": (QMatrix.from_complex(M[:3, :3]), []),
+        "from_json": (QMatrix.from_json(A.to_json()), [A]),
+        "+": (A + B, [A, B]),
+        "-": (A - B, [A, B]),
+        "neg": (-A, [A]),
+        "scalar *": (2.0 * A, [A]),
+        "@": (A @ B, [A, B]),
+        "adjoint": (A.adjoint(), [A]),
+        "adjoint 1 x n": (row.adjoint(), [row]),
+        "adjoint n x 1": (col.adjoint(), [col]),
+        "scale_left": (A.scale_left(q), [A]),
+        "scale_right": (A.scale_right(q), [A]),
+        "chi_inv": (chi_inv(M), [A]),
+        "gram_schmidt": (gram_schmidt(M, 3, 0.1)[1], [A]),
+        "positive_sqrt": (positive_sqrt(A.adjoint() @ A), [A]),
+        "plus_eigenbasis": (plus_eigenbasis(J), [J]),
+        "s_resolvent left": (s_resolvent(A, far).left, [A]),
+        "s_resolvent right": (s_resolvent(A, far).right, [A]),
+        "riesz_projection": (riesz_projection(A, build_contour(spheres)), [A]),
+    }
+
+
+@pytest.mark.parametrize("name", list(_every_builder_and_operation(
+    np.random.default_rng(0))))
+def test_results_are_read_only_c_contiguous_and_own_their_entries(name):
+    T, operands = _every_builder_and_operation(np.random.default_rng(1))[name]
+    e = T.entries
+    assert e.dtype == np.float64 and e.ndim == 3 and e.shape[2] == 4
+    assert e.flags.c_contiguous
+    assert not e.flags.writeable
+    with pytest.raises(ValueError):
+        e[0, 0, 0] = 1.0
+    assert not any(np.shares_memory(e, X.entries) for X in operands)
+
+
+@pytest.mark.parametrize("bad", [
+    np.zeros((2, 3, 4), dtype=np.float32),
+    np.asfortranarray(np.zeros((2, 3, 4))),
+    np.zeros((2, 3, 4))[:, ::2],
+    np.zeros((2, 3)),
+    np.zeros((2, 3, 3)),
+], ids=["float32", "fortran", "strided", "2-d", "3 parts"])
+def test_adopt_refuses_any_other_layout(bad):
+    with pytest.raises(ValueError, match="C-contiguous float64"):
+        QMatrix._adopt(bad)
