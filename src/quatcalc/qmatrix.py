@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quaternion import ImaginaryUnit, Quaternion, UNIT_I, qconj, qmul
+from .quaternion import (ImaginaryUnit, Quaternion, UNIT_I, _coerce, qconj,
+                         qmul)
 
 __all__ = [
     "QMatrix",
@@ -105,7 +106,7 @@ class QMatrix:
 
     @staticmethod
     def diag(values) -> "QMatrix":
-        vals = [v if isinstance(v, Quaternion) else _as_quat(v) for v in values]
+        vals = [_coerce(v) for v in values]
         n = len(vals)
         e = np.zeros((n, n, 4))
         for r, v in enumerate(vals):
@@ -203,16 +204,6 @@ class QMatrix:
 
     def __repr__(self) -> str:
         return f"QMatrix({self.rows}x{self.cols})"
-
-
-def _as_quat(v) -> Quaternion:
-    if isinstance(v, Quaternion):
-        return v
-    if isinstance(v, ImaginaryUnit):
-        return v.to_quaternion()
-    if isinstance(v, complex):
-        return Quaternion.from_complex(v)
-    return Quaternion(float(v))
 
 
 # ---------------------------------------------------------------------------

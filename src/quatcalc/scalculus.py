@@ -40,19 +40,16 @@ per node, but its backward error is amplified by ||(chi T - z)^-1||^2 on
 fragile eigenvalues of highly non-normal T (Trefethen-Embree, Spectra and
 Pseudospectra).
 
-The lead nodes of the pairs run in a fixed number of chunks on a thread
-pool made per call (numpy's LAPACK releases the GIL), summed in chunk order:
-the result is bitwise the same for any pool size, and a forked child, which
-has none of a module-level pool's threads, still works.  Each call logs its
-node counts, pool size and sentinel defect at DEBUG on the "quatcalc" logger.
+The lead nodes of the pairs run in one serial loop, in node order; BLAS
+threads (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``) are the only
+parallelism.  Each call logs its node counts and sentinel defect at DEBUG on
+the "quatcalc" logger.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -82,10 +79,6 @@ __all__ = [
 
 _log = logging.getLogger("quatcalc")
 
-# Lead nodes are split into this many contiguous chunks whatever the core
-# count, so the summation order, and hence every bit of the result, is fixed.
-_CHUNKS = 8
-
 # fewest trapezoid nodes per circle; node counts are multiples of it
 _MIN_NODES = 16
 
@@ -93,13 +86,6 @@ _MIN_NODES = 16
 def _round_nodes(k: float) -> int:
     """The multiple of _MIN_NODES at or above k."""
     return _MIN_NODES * int(math.ceil(k / _MIN_NODES))
-
-
-def _worker_count() -> int:
-    """CPUs this process may run on: the quadrature pool's size."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 class SeparationError(ValueError):
@@ -219,13 +205,6 @@ class Contour:
         }
 
 
-def _pair_distance(a_re, a_h, b_re, b_h) -> float:
-    """Distance in the slice plane between the circle pairs (a, conj a) and
-    the trace pair (b, conj b): nearest of the two reflections."""
-    return min(math.hypot(a_re - b_re, a_h - b_h),
-               math.hypot(a_re - b_re, a_h + b_h))
-
-
 def _sphere_circles(sigma, other) -> list[Circle]:
     """One circle (pair) per sigma sphere, centered at its trace points,
     of radius 0.45 times the distance to the nearest other trace."""
@@ -239,14 +218,11 @@ def _sphere_circles(sigma, other) -> list[Circle]:
         # flatten imaginary jitter: a near-real sphere's conjugate trace is
         # not a separate singularity at working resolution
         s = rep if rep.rad > res else Sphere(rep.re, 0.0)
-        dists = []
+        # nearest trace pair (t, conj t): for heights >= 0, t itself
+        dists = [s.distance(t) for t in reps if t is not rep]
+        dists += [s.distance(o) for o in other]
         if s.rad > 0.0:
             dists.append(2.0 * s.rad)  # own conjugate trace
-        for t in reps:
-            if t is not rep:
-                dists.append(_pair_distance(s.re, s.rad, t.re, t.rad))
-        for o in other:
-            dists.append(_pair_distance(s.re, s.rad, o.re, o.rad))
         d_all = min(dists) if dists else 2.0
         if d_all <= 0.0:
             raise SeparationError(
@@ -351,9 +327,9 @@ def _quadrature(f, side: str, T: QMatrix, contour: Contour,
     [top rows of R_k; bottom rows of R_partner(k)], R_k = (chi T' - z_k)^-1,
     q = f'(z) w (the left term mirrors it with column blocks, q = w f'(z)).
     The sum lies in the image of chi, so only its top n rows are kept.  Lead
-    nodes (k <= partner[k]) take one LU inverse each, in ``_CHUNKS`` chunks
-    on a per-call thread pool; their partners' R is its block mirror.  The
-    proximity guard is ``_trace_distances``, and the round-off sentinel
+    nodes (k <= partner[k]) take one LU inverse each, in node order; their
+    partners' R is its block mirror.  The proximity guard is
+    ``_trace_distances``, and the round-off sentinel
     ``_mirror_defect`` runs at the lead node nearest the spectrum.  A circle
     enclosing spheres of total multiplicity k > N takes k nodes, rounded up
     to a multiple of 16, so that no enclosed pole aliases.  Before any
@@ -413,32 +389,18 @@ def _quadrature(f, side: str, T: QMatrix, contour: Contour,
     ma, mc = twin * a[partner].conj(), twin * c[partner].conj()
     eye = np.eye(2 * n)
     sentinel = lead[np.argmin(dist[lead])]
-
-    def chunk_sum(ks):
-        top, W = np.zeros((2, n, 2 * n), dtype=complex)
-        R_s = None
-        for k in ks:
-            R = np.linalg.inv(Tc - z[k] * eye)
-            top += a[k] * R[:n] + c[k] * R[n:]
-            W += ma[k] * R[n:] - mc[k] * R[:n]
-            if k == sentinel:
-                R_s = R
-        return top, W, R_s
-
-    chunks = np.array_split(lead, min(_CHUNKS, lead.size))
-    workers = min(_worker_count(), len(chunks))
     top, W = np.zeros((2, n, 2 * n), dtype=complex)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for top_c, W_c, R_c in pool.map(chunk_sum, chunks):
-            top += top_c
-            W += W_c
-            if R_c is not None:
-                R_s = R_c
+    for k in lead:
+        R = np.linalg.inv(Tc - z[k] * eye)
+        top += a[k] * R[:n] + c[k] * R[n:]
+        W += ma[k] * R[n:] - mc[k] * R[:n]
+        if k == sentinel:
+            R_s = R
     top = -top - np.hstack([W[:, n:], -W[:, :n]]).conj()
     defect = abs(w[sentinel]) * _mirror_defect(Tc, z[sentinel], R_s)
-    _log.debug("quadrature: %d nodes, %d lead nodes, %d workers, "
-               "sentinel defect %.3e, %d nodes per circle (%s)", z.size,
-               lead.size, workers, defect, contour.nodes_per_circle,
+    _log.debug("quadrature: %d nodes, %d lead nodes, sentinel defect %.3e, "
+               "%d nodes per circle (%s)", z.size, lead.size, defect,
+               contour.nodes_per_circle,
                f"raised from {given}: pole order up to {poles}"
                if poles > given else "as built")
     if defect > 1e-6 * max(np.abs(top).max(), 1.0):

@@ -371,7 +371,8 @@ def suite_irreducibility(rng, tols) -> list[dict]:
     and agreement with the complex decision under extension."""
     disagreements = 0
     witness_bad = 0.0
-    for T in _small_catalog():
+    catalog = _small_catalog()
+    for T in catalog:
         report = is_strongly_irreducible(T)
         oracle = _find_idempotent(T, seed=7)
         structural_si = report.verdict == "irreducible"
@@ -386,7 +387,7 @@ def suite_irreducibility(rng, tols) -> list[dict]:
                 op_norm(E @ T - T @ E) / norm_scale(T))
 
     flips = 0
-    bases = [_small_catalog()[6], _small_catalog()[4]]  # one SI, one not
+    bases = [catalog[6], catalog[4]]  # one SI, one not
     for k in range(50):
         T = bases[k % 2]
         verdict0 = is_strongly_irreducible(T).verdict

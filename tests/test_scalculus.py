@@ -1,6 +1,7 @@
 import logging
 import multiprocessing
 import queue
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -391,36 +392,23 @@ def test_projection_accuracy_on_fragile_nonnormal_example():
     assert op_norm(P @ P - P) <= 1e-6
 
 
-def _square(q):
-    return q * q + q * Quaternion(0.0, 0.3, -0.2, 0.7)
-
-
-def _quadrature_results(T, contour):
-    return [riesz_projection(T, contour).entries,
-            func_calc(_square, "left", T, contour).entries,
-            func_calc(_square, "right", T, contour).entries]
-
-
-@pytest.mark.parametrize("workers", [1, 3])
-def test_quadrature_is_bitwise_independent_of_the_worker_count(
-        rng, monkeypatch, workers):
-    """Fixed chunks summed in chunk order: any pool size, the same bits."""
+def test_quadrature_starts_no_thread(rng, monkeypatch):
+    """One serial loop: BLAS threads are the only parallelism."""
     T = _nonnormal(rng)
     spec = spherical_spectrum(T)
-    c = build_contour(spec.spheres[:2], spec.spheres[2:],
-                      m=ImaginaryUnit.normalized(1.0, -2.0, 0.5))
-    E = QMatrix(rng.standard_normal((5, 5, 4)))
-    T_odd = QMatrix.eye(5) * 0.7 + E * (0.2 / op_norm(E))
-    cases = [(T, c), (T_odd, _ODD_CONTOUR)]
-    default = [_quadrature_results(*case) for case in cases]
-    monkeypatch.setattr(scalculus, "_worker_count", lambda: workers)
-    for case, ref in zip(cases, default):
-        for got, want in zip(_quadrature_results(*case), ref):
-            assert np.array_equal(got, want)
+    c = build_contour(spec.spheres[:1], spec.spheres[1:])
+
+    def refuse(self):
+        raise AssertionError("the quadrature started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    riesz_projection(T, c, spec)
+    func_calc(lambda q: q * q, "left", T, build_contour(spec.spheres), spec)
 
 
 def test_riesz_projection_runs_in_a_forked_child(rng):
-    """A pool made per call works after fork; a module-level one would hang."""
+    """The quadrature holds no state that a fork breaks: a child gives the
+    parent's bits."""
     T = _nonnormal(rng)
     spec = spherical_spectrum(T)
     c = build_contour(spec.spheres[:1], spec.spheres[1:])
@@ -461,10 +449,9 @@ def test_quadrature_logs_its_sentinel_defect(rng, caplog):
     assert built.args[2] == c.nodes_per_circle == 64
     z, _, partner = c.slice_nodes()
     lead = int(np.count_nonzero(np.arange(z.size) <= partner))
-    workers = min(scalculus._worker_count(), scalculus._CHUNKS, lead)
-    assert rec.args[:3] == (z.size, lead, workers)
-    assert 0.0 <= rec.args[3] <= 1e-12
-    assert rec.args[4:] == (64, "as built")
+    assert rec.args[:2] == (z.size, lead)
+    assert 0.0 <= rec.args[2] <= 1e-12
+    assert rec.args[3:] == (64, "as built")
     # a pole of order 24 at the center of a 16-node circle raises the count
     T = _jordan(24)
     spec = spherical_spectrum(T)
@@ -475,7 +462,7 @@ def test_quadrature_logs_its_sentinel_defect(rng, caplog):
     built, rec = [r for r in caplog.records if r.name == "quatcalc"]
     assert built.args == (1, float("inf"), 16)
     assert rec.args[0] == 32
-    assert rec.args[4:] == (32, "raised from 16: pole order up to 24")
+    assert rec.args[3:] == (32, "raised from 16: pole order up to 24")
 
 
 @pytest.mark.parametrize("n", [17, 24])
