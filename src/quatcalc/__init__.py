@@ -64,7 +64,6 @@ from .irreducibility import (
 )
 from .discretize import (
     ExampleBundle,
-    GridOperator,
     grid_points,
     kernel_op,
     mult_op,

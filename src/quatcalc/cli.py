@@ -82,6 +82,9 @@ def _parse_partition(spec: str) -> list[Sphere]:
             re_v, rad_v = float(bits[0]), float(bits[1])
         except ValueError:
             raise CliInputError(f"partition entry {part!r} is not numeric")
+        if not (math.isfinite(re_v) and 0.0 <= rad_v < math.inf):
+            raise CliInputError(f"partition entry {part!r} needs a finite "
+                                f"re and a finite rad >= 0")
         spheres.append(Sphere(re_v, rad_v))
     if not spheres:
         raise CliInputError("partition selects no spheres")
@@ -161,7 +164,7 @@ def cmd_examples(args) -> int:
         ref = 1.0 / math.pi
         lines = ["n,norm,reference,error"]
         for n in ns:
-            v = op_norm(volterra_op(n).matrix)
+            v = op_norm(volterra_op(n))
             lines.append(f"{n},{v!r},{ref!r},{abs(v - ref)!r}")
         _emit("\n".join(lines) + "\n", args.output)
         return EXIT_OK
@@ -176,7 +179,7 @@ def cmd_examples(args) -> int:
         "example": bundle.name,
         "n": bundle.n,
         "diagnostics": diag,
-        "T": bundle.T.matrix.to_json() if args.full else None,
+        "T": bundle.T.to_json() if args.full else None,
     }
     _dump(report, args.output)
     return EXIT_OK

@@ -106,11 +106,10 @@ class QMatrix:
 
     @staticmethod
     def diag(values) -> "QMatrix":
-        vals = [_coerce(v) for v in values]
-        n = len(vals)
+        d = np.array([(q.w, q.x, q.y, q.z) for q in map(_coerce, values)])
+        n = len(d)
         e = np.zeros((n, n, 4))
-        for r, v in enumerate(vals):
-            e[r, r] = v.to_array()
+        e[np.arange(n), np.arange(n)] = d.reshape(n, 4)
         return QMatrix._adopt(e)
 
     @staticmethod
@@ -145,6 +144,15 @@ class QMatrix:
     def __getitem__(self, rc) -> Quaternion:
         r, c = rc
         return Quaternion.from_array(self.entries[r, c])
+
+    # perfbench's contract tests still call these on the grid builders'
+    # results, written for the former wrapper's .matrix field and .norm()
+    @property
+    def matrix(self) -> "QMatrix":
+        return self
+
+    def norm(self) -> float:
+        return op_norm(self)
 
     # -- algebra -------------------------------------------------------------
 
@@ -197,8 +205,11 @@ class QMatrix:
 
     @staticmethod
     def from_json(obj: dict) -> "QMatrix":
+        shape = (obj["rows"], obj["cols"], 4)
         data = np.array(obj["data"], dtype=float, order="C")
-        if data.shape != (obj["rows"], obj["cols"], 4):
+        if data.size == 0 and 0 in shape:
+            data = np.zeros(shape)  # "[]" and "[[], []]" lose the empty axes
+        if data.shape != shape:
             raise ValueError("matrix data does not match declared shape")
         return QMatrix._adopt(data)
 

@@ -457,7 +457,7 @@ def _normal_example_commutator_norm(n: int) -> float:
 def suite_discretize(tols) -> list[dict]:
     """Grid-operator norms, convergence, factorizations, normality defects."""
     out = []
-    errs = [abs(op_norm(volterra_op(n).matrix) - 1.0 / math.pi)
+    errs = [abs(op_norm(volterra_op(n)) - 1.0 / math.pi)
             for n in (64, 128, 256, 512, 1024)]
     out.append(_check("discretize", "Volterra norm at n=1024 vs 1/pi",
                       errs[-1], tols["volterra-window"]))
@@ -469,7 +469,7 @@ def suite_discretize(tols) -> list[dict]:
     worst_rankone = 0.0
     bound_ok = True
     for n in (4, 7, 16, 64, 256):
-        nk = op_norm(kernel_op(lambda x, y: 0.5 * x * y, n).matrix)
+        nk = op_norm(kernel_op(lambda x, y: 0.5 * x * y, n))
         if abs(nk - 1.0 / 6.0) > 2.0 / n:
             worst_rankone = max(worst_rankone, abs(nk - 1.0 / 6.0))
         if nk >= tols["rankone-bound"]:

@@ -38,6 +38,14 @@ def test_spectrum_command(diag_ij3, tmp_path):
     assert all(s["delta_min_sv"] <= 1e-9 for s in spheres)
 
 
+def test_spectrum_of_empty_matrix(tmp_path):
+    p = tmp_path / "empty.json"
+    _write_matrix(p, QMatrix.zeros(0))
+    out = tmp_path / "spec.json"
+    assert main(["spectrum", "--input", str(p), "--output", str(out)]) == 0
+    assert json.loads(out.read_text()) == {"spheres": [], "size": 0}
+
+
 def test_spectrum_rejects_nonsquare(tmp_path):
     p = tmp_path / "bad.json"
     _write_matrix(p, QMatrix.zeros(2, 3))
@@ -107,9 +115,13 @@ def test_riesz_odd_chi_rank_is_partition_error(diag_ij3, monkeypatch, capsys):
     assert "partition error: chi(P) has odd rank 3" in capsys.readouterr().err
 
 
-def test_riesz_malformed_partition(diag_ij3):
+def test_riesz_malformed_partition(diag_ij3, capsys):
     assert main(["riesz", "--input", str(diag_ij3),
                  "--partition", "zero,one"]) == 2
+    for entry in ("nan,0", "0,inf", "-inf,1", "0.5,-1"):
+        assert main(["riesz", "--input", str(diag_ij3),
+                     "--partition", entry]) == 2
+        assert repr(entry) in capsys.readouterr().err
 
 
 def test_examples_report(tmp_path):

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import tracemalloc
 from fractions import Fraction
 
@@ -10,7 +11,6 @@ from quatcalc.quaternion import Quaternion, Sphere
 from quatcalc.spectrum import spherical_spectrum
 from quatcalc.discretize import (
     ExampleBundle,
-    _half_xy_kernel,
     grid_points,
     kernel_op,
     mult_op,
@@ -29,13 +29,13 @@ def test_mult_op_is_diagonal_with_sample_values():
     op = mult_op(lambda x: x, 4)
     expected = QMatrix.diag([Quaternion(v, 0, 0, 0)
                              for v in (0.125, 0.375, 0.625, 0.875)])
-    assert op_norm(op.matrix - expected) == 0.0
-    assert op.norm() == pytest.approx(0.875)
+    assert op_norm(op - expected) == 0.0
+    assert op_norm(op) == pytest.approx(0.875)
 
 
 def test_mult_op_spectrum_is_real_in_unit_interval():
     op = mult_op(lambda x: x, 12)
-    spec = spherical_spectrum(op.matrix)
+    spec = spherical_spectrum(op)
     assert spec.total_multiplicity() == 12
     for s in spec.spheres:
         assert s.rad <= 1e-12
@@ -45,7 +45,7 @@ def test_mult_op_spectrum_is_real_in_unit_interval():
 def test_kernel_op_adjoint_matches_conjugate_transpose():
     op = kernel_op(lambda x, y: x * y, 8)
     # real symmetric kernel -> self-adjoint matrix, exactly
-    assert op_norm(op.matrix - op.matrix.adjoint()) == 0.0
+    assert op_norm(op - op.adjoint()) == 0.0
 
 
 def test_volterra_on_constant_function():
@@ -54,7 +54,7 @@ def test_volterra_on_constant_function():
     V = volterra_op(n)
     ones = np.zeros((n, 4))
     ones[:, 0] = 1.0
-    out = V.matrix.apply(ones)
+    out = V.apply(ones)
     assert np.allclose(out[:, 0], 0.5 * grid_points(n))
     assert np.allclose(out[:, 1:], 0.0)
 
@@ -64,7 +64,7 @@ def test_volterra_quaternionic_coefficient():
     V = volterra_op(n, coeff=Quaternion(0, 0, 0, 0.5))
     ones = np.zeros((n, 4))
     ones[:, 0] = 1.0
-    out = V.matrix.apply(ones)
+    out = V.apply(ones)
     assert np.allclose(out[:, 3], 0.5 * grid_points(n))
     assert np.allclose(out[:, :3], 0.0)
 
@@ -73,7 +73,7 @@ def test_volterra_norm_converges_to_two_over_pi_halved():
     """||(1/2) Int_0^x|| on L^2[0,1] is 1/pi; midpoint rule converges fast."""
     errs = []
     for n in (64, 128, 256):
-        errs.append(abs(volterra_op(n).norm() - 1.0 / np.pi))
+        errs.append(abs(op_norm(volterra_op(n)) - 1.0 / np.pi))
     assert errs[0] < 2.0 / 64
     assert errs[2] < errs[1] < errs[0]
     assert errs[2] < 1e-5
@@ -85,14 +85,14 @@ def test_volterra_norm_exact_closed_form(n):
     Cayley transform of N, whose norm is exactly cot(pi/4n)/(4n); 512 and
     1024 are the largest sizes of the ``examples --sweep`` run."""
     exact = 1.0 / (4 * n * np.tan(np.pi / (4 * n)))
-    norm = volterra_op(n).norm()
+    norm = op_norm(volterra_op(n))
     assert abs(norm - exact) <= 1e-13
     assert abs(norm - exact) <= 2e-15 * exact
 
 
 def test_modulus_positivity():
     V = volterra_op(32)
-    VstarV = V.matrix.adjoint() @ V.matrix
+    VstarV = V.adjoint() @ V
     from quatcalc.qmatrix import chi
     w = np.linalg.eigvalsh(chi(VstarV))
     assert w.min() >= -1e-14
@@ -111,34 +111,64 @@ def test_paper_example_validation():
 def test_examples_factor_exactly(which):
     b = paper_example(which, 48)
     assert isinstance(b, ExampleBundle)
-    scale = op_norm(b.T.matrix)
+    scale = op_norm(b.T)
     assert b.factorization_residual() <= 1e-14 * scale
-    assert b.K.norm() < 0.5
+    assert op_norm(b.K) < 0.5
 
 
 def test_rank_one_kernel_norm_limit():
     """||(1/2) x y|| on L^2 is (1/2)||x||^2 = 1/6; discrete norms approach it."""
     for n in (4, 7, 16, 64, 256):
-        b = kernel_op(lambda x, y: 0.5 * x * y, n)
-        assert abs(b.norm() - 1.0 / 6.0) <= 2.0 / n
-        assert b.norm() < 1.0 / 3.0
+        norm = op_norm(kernel_op(lambda x, y: 0.5 * x * y, n))
+        assert abs(norm - 1.0 / 6.0) <= 2.0 / n
+        assert norm < 1.0 / 3.0
 
 
 @pytest.mark.parametrize("n", [3, 12, 96])
 def test_rank_one_kernels_match_kernel_op_bitwise(n):
-    """The "normal" example's vectorized K and K0 equal kernel_op's entries bit for bit."""
-    for power, k in ((1, lambda x, y: 0.5 * x * y),
-                     (2, lambda x, y: 0.5 * x * y * y)):
-        fast = _half_xy_kernel(n, power, kind="fast").matrix.entries
-        ref = kernel_op(k, n).matrix.entries
-        assert fast.tobytes() == ref.tobytes()
+    """The "normal" example's vectorized K equals kernel_op's entries bit for bit."""
+    fast = paper_example("normal", n).K.entries
+    ref = kernel_op(lambda x, y: 0.5 * x * y, n).entries
+    assert fast.tobytes() == ref.tobytes()
+
+
+# sha256 prefixes of the T, W, K, S entry bytes and of repr(diagnostics),
+# recorded before the builders shared one assembler
+_EXAMPLE_BYTES = {
+    ("normal", 3): ("8d2a12c6fece2d2e", "83e6ebdd69ce84ab", "231c7805350ca373",
+                    "07a1a91affa909bf", "0e850a5964cb4d05"),
+    ("normal", 12): ("7b0c0207e8259c55", "f3f1a8e5e38d1836", "98c13fd279e73d92",
+                     "5883ffdc3cae67ef", "0af86925c84b996c"),
+    ("normal", 96): ("0d99875e167b8b66", "74bc6073fbfe395e", "809ace56fa46e29c",
+                     "9d77031d47f6e069", "a943b0234180e899"),
+    ("nonnormal", 3): ("4d1344413ebd7fa9", "83e6ebdd69ce84ab",
+                       "efb7fb719f8a694f", "07a1a91affa909bf",
+                       "aedb2eacaa2b6a15"),
+    ("nonnormal", 12): ("1f9c973d42f33dc5", "f3f1a8e5e38d1836",
+                        "cb4fb67a4ec6b540", "5883ffdc3cae67ef",
+                        "9e714a1521f3e0b3"),
+    ("nonnormal", 96): ("3526cbc812c52628", "74bc6073fbfe395e",
+                        "e3a23f48b81fccff", "9d77031d47f6e069",
+                        "eca664d4299b95e2"),
+}
+
+
+@pytest.mark.parametrize("which, n", sorted(_EXAMPLE_BYTES))
+def test_paper_example_bytes_are_unchanged(which, n):
+    """The one-assembler builders give the recorded operators bit for bit
+    (the diagnostics' norms also depend on the LAPACK build)."""
+    b = paper_example(which, n)
+    blobs = [op.entries.tobytes() for op in (b.T, b.W, b.K, b.S)]
+    blobs.append(repr(b.diagnostics).encode())
+    got = tuple(hashlib.sha256(blob).hexdigest()[:16] for blob in blobs)
+    assert got == _EXAMPLE_BYTES[which, n]
 
 
 def test_normal_example_is_actually_nonnormal():
     # the multiplication-plus-rank-one operator fails to be normal: the
     # rank-one kernel does not commute with multiplication by x
     b = paper_example("normal", 48)
-    scale = op_norm(b.T.matrix) ** 2
+    scale = op_norm(b.T) ** 2
     assert b.normality_defect() > 1e-3 * scale
 
 
@@ -184,23 +214,23 @@ def test_normal_example_commutator_converges_to_continuum():
 
 def test_nonnormal_example_defect():
     b = paper_example("nonnormal", 48)
-    scale = op_norm(b.T.matrix) ** 2
+    scale = op_norm(b.T) ** 2
     assert b.normality_defect() > 1e-3 * scale
 
 
 def test_nonnormal_kernel_norm_tracks_one_over_pi():
     b = paper_example("nonnormal", 96)
-    assert abs(b.K.norm() - 1.0 / np.pi) <= 1e-3
+    assert abs(op_norm(b.K) - 1.0 / np.pi) <= 1e-3
 
 
 def test_factor_S_is_shifted_multiplication():
     b = paper_example("normal", 9)
-    S = b.S.matrix
+    S = b.S
     # S is diagonal multiplication by phi with phi > 0 away from the cut
     for r in range(9):
         for c in range(9):
             if r != c:
-                assert abs(b.S.matrix[r, c]) == 0.0
+                assert abs(S[r, c]) == 0.0
     assert op_norm(S - S.adjoint()) == 0.0
 
 
@@ -220,7 +250,7 @@ def _einsum_volterra(n: int, coeff: Quaternion) -> np.ndarray:
 def test_volterra_op_matches_the_einsum_formula_bitwise(n, coeff):
     """Built in place, the entries equal the einsum formula byte for byte,
     signed zeros included (the random coefficient has negative parts)."""
-    got = volterra_op(n, coeff).matrix.entries
+    got = volterra_op(n, coeff).entries
     assert got.tobytes() == _einsum_volterra(n, coeff).tobytes()
 
 
@@ -243,10 +273,9 @@ def test_volterra_op_norm_peak_memory_is_within_1_6_entries():
 def test_grid_builders_make_read_only_c_contiguous_entries():
     b = paper_example("nonnormal", 12)
     built = [mult_op(lambda t: t, 5), kernel_op(lambda x, y: x * y, 5),
-             _half_xy_kernel(5, 2, kind="k"), volterra_op(5),
-             b.T, b.W, b.K, b.S]
+             volterra_op(5), b.T, b.W, b.K, b.S]
     for op in built:
-        e = op.matrix.entries
+        e = op.entries
         assert e.flags.c_contiguous and not e.flags.writeable
         assert e.dtype == np.float64
 
@@ -258,7 +287,7 @@ def test_paper_operators_are_scaled_by_the_schur_bound_alone(which,
     returns 1.0 without the eigensolver behind op_norm."""
     import quatcalc.qmatrix as qm
 
-    T = paper_example(which, 96).T.matrix
+    T = paper_example(which, 96).T
 
     def refuse(T):
         raise AssertionError("op_norm called")

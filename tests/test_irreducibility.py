@@ -10,7 +10,8 @@ import pytest
 import quatcalc
 from quatcalc import irreducibility
 from quatcalc.discretize import paper_example
-from quatcalc.qmatrix import QMatrix, chi, chi_inv, op_norm, polar
+from quatcalc.qmatrix import (QMatrix, chi, chi_inv, norm_scale, op_norm,
+                              polar)
 from quatcalc.quaternion import Quaternion
 from quatcalc.irreducibility import (
     _commutant,
@@ -19,7 +20,7 @@ from quatcalc.irreducibility import (
     extension_irreducibility_check,
     is_strongly_irreducible,
 )
-from quatcalc.verify import run_all
+from quatcalc.verify import _random_qmatrix, _small_catalog, run_all
 
 Q_I = Quaternion(0, 0, 1, 0)
 Q_J = Quaternion(0, 0, 0, 1)
@@ -162,7 +163,7 @@ def test_search_route_is_indeterminate_above_the_guard(monkeypatch):
 def test_uncertified_riesz_witness_is_indeterminate(n):
     """The Riesz projection of the nonnormal example's first sphere is far
     from idempotent (2.1e-6 at n = 12, 1.3e6 at n = 24): no verdict."""
-    rep = is_strongly_irreducible(paper_example("nonnormal", n).T.matrix)
+    rep = is_strongly_irreducible(paper_example("nonnormal", n).T)
     assert rep.verdict == "indeterminate", rep.detail
     assert rep.witness is None
     assert rep.detail["route"] == "riesz"
@@ -295,3 +296,26 @@ def test_extension_preserves_irreducibility_verdict():
         assert out["quaternionic_verdict"] in ("irreducible", "decomposable")
         assert out["complex_strongly_irreducible"] == (
             out["quaternionic_verdict"] == "irreducible")
+
+
+def test_similar_copies_of_two_blocks_on_one_sphere_never_say_irreducible():
+    """G T G^-1 for T = jordan([i, i, i], [0]) (a 2-block and a 1-block on
+    one sphere) is decomposable.  Every verdict must say so or be
+    "indeterminate", and every witness must be a commuting idempotent."""
+    T = _small_catalog()[9]
+    rng = np.random.default_rng(0)
+    verdicts = []
+    while len(verdicts) < 10:
+        G = _random_qmatrix(rng, 3) + QMatrix.real_scalar(3, 2.0)
+        sv = np.linalg.svd(chi(G), compute_uv=False)
+        if sv[0] / sv[-1] >= 20.0:
+            continue
+        Tsim = chi_inv(chi(G) @ chi(T) @ np.linalg.inv(chi(G)), tol=1e-6)
+        rep = is_strongly_irreducible(Tsim)
+        verdicts.append(rep.verdict)
+        assert rep.verdict in ("decomposable", "indeterminate")
+        if rep.witness is not None:
+            E = rep.witness
+            assert op_norm(E @ E - E) <= 1e-6
+            assert op_norm(E @ Tsim - Tsim @ E) / norm_scale(Tsim) <= 1e-6
+    assert "decomposable" in verdicts

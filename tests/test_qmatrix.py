@@ -409,11 +409,13 @@ def test_restrict_rejects_non_commuting(rng):
 
 
 def test_json_round_trip(rng):
-    A = rand_q(rng, (2, 3))
-    obj = A.to_json()
-    assert obj["rows"] == 2 and obj["cols"] == 3
-    B = QMatrix.from_json(obj)
-    assert op_norm(A - B) == 0.0
+    for rows, cols in ((2, 3), (0, 0), (3, 0), (0, 2)):
+        A = rand_q(rng, (rows, cols))
+        obj = A.to_json()
+        assert obj["rows"] == rows and obj["cols"] == cols
+        B = QMatrix.from_json(obj)
+        assert B.entries.shape == (rows, cols, 4)
+        assert op_norm(A - B) == 0.0
 
 
 def test_qmatrix_copies_the_callers_array(rng):

@@ -385,7 +385,7 @@ def test_projection_accuracy_on_fragile_nonnormal_example():
     """The n = 12 example's eigenvalues are fragile (||P|| ~ 1e6): per-node
     LU inverses keep P idempotent, a once-per-call unitary similarity of
     chi(T) does not."""
-    T = paper_example("nonnormal", 12).T.matrix
+    T = paper_example("nonnormal", 12).T
     spheres = sorted(spherical_spectrum(T).spheres)
     c = build_contour(spheres[:1], spheres[1:])
     P = riesz_projection(T, c)
@@ -622,7 +622,7 @@ def test_func_calc_square_on_the_paper_operators(which, n):
     """Per-sphere circles about the nonnormal example's spheres sit inside
     its pseudospectrum, where the rule's sum is off by a relative 5e26 at
     n = 48 and nothing raises; the one enclosing circle keeps clear of it."""
-    T = paper_example(which, n).T.matrix
+    T = paper_example(which, n).T
     spec = spherical_spectrum(T)
     F = func_calc(lambda q: q * q, "right", T, build_contour(spec.spheres),
                   spec)

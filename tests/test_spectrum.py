@@ -277,7 +277,7 @@ def test_nonnormal_example_spectrum_matches_closed_form():
     x = grid_points(n)
     ref = np.stack([np.where(x <= 1.0 / 3.0, x, 0.0), x / (4.0 * n)], axis=1)
     ref = ref[np.lexsort((ref[:, 1], ref[:, 0]))]
-    spec = spherical_spectrum(paper_example("nonnormal", n).T.matrix)
+    spec = spherical_spectrum(paper_example("nonnormal", n).T)
     got = np.array([(s.re, s.rad) for s in spec.spheres])
     assert got.shape == (n, 2)
     assert spec.multiplicities == (1,) * n
