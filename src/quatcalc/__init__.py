@@ -68,6 +68,7 @@ from .discretize import (
     kernel_op,
     mult_op,
     paper_example,
+    volterra_norm,
     volterra_op,
 )
 from .verify import run_all, default_tolerances

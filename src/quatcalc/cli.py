@@ -19,7 +19,7 @@ from .qmatrix import QMatrix, norm_scale, op_norm
 from .spectrum import (SpectrumProximityError, _delta_singular_values,
                        spherical_spectrum)
 from .scalculus import riesz_decompose, SeparationError, PartitionError
-from .discretize import paper_example, volterra_op
+from .discretize import paper_example, volterra_norm
 from .verify import run_all, default_tolerances, SUITES
 
 EXIT_OK = 0
@@ -160,11 +160,14 @@ def _parse_sweep(spec: str) -> list[int]:
 
 def cmd_examples(args) -> int:
     if args.sweep:
+        for flag, given in (("--n", args.n is not None), ("--full", args.full)):
+            if given:
+                raise CliInputError(f"{flag} cannot be combined with --sweep")
         ns = _parse_sweep(args.sweep)
         ref = 1.0 / math.pi
         lines = ["n,norm,reference,error"]
         for n in ns:
-            v = op_norm(volterra_op(n))
+            v = volterra_norm(n)
             lines.append(f"{n},{v!r},{ref!r},{abs(v - ref)!r}")
         _emit("\n".join(lines) + "\n", args.output)
         return EXIT_OK
@@ -232,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=None,
                     help="grid size (multiple of 3)")
     sp.add_argument("--sweep", default=None,
-                    help="norm-convergence sweep a:b (CSV output)")
+                    help="Volterra norm sweep over n = a, 2a, ... <= b "
+                         "(CSV output; not with --n or --full)")
     sp.add_argument("--full", action="store_true",
                     help="embed the assembled operator in the report")
     common(sp)

@@ -319,34 +319,27 @@ def _slice_matrix(T: QMatrix) -> np.ndarray | None:
     return e[..., 0] + 1j * e[..., used[0]]
 
 
-def op_norm(T: QMatrix) -> float:
-    """Operator norm sup{|Tx| : |x| <= 1} = largest singular value of chi(T).
+def _norm_matrix(T: QMatrix) -> np.ndarray:
+    """``_slice_matrix(T)`` when T is slice-valued, else chi(T)."""
+    Z = _slice_matrix(T)
+    return chi(T) if Z is None else Z
 
-    M is the n x m ``_slice_matrix`` Z for slice-valued T (chi(T) is
-    unitarily similar to Z (+) conj(Z)) and chi(T) otherwise.  With
-    s = max|M| and X = M / s, ||T|| = s * sqrt(lambda_max(G)) for the
-    Hermitian Gram matrix G = X* X (X X* when M has fewer rows than columns),
-    found by one ``eigvalsh``.  Scaling to unit entries keeps G clear of
-    overflow and underflow (a subnormal s is first raised by 2^600, exactly,
-    since a complex M / s would overflow).  By Weyl's inequality the
-    computed lambda_max is off by about eps * ||G|| = eps * ||X||^2, so
-    sigma_max keeps full relative accuracy.  Callers that need the smallest singular value (point
-    spectrum, kernel and range bases) must keep an SVD: the Gram matrix
-    squares its condition number.  A non-finite entry raises ``ValueError``.
+
+def _matrix_norm(M: np.ndarray) -> float:
+    """Largest singular value of a nonempty real or complex matrix M.
+
+    With s = max|M| and X = M / s, sigma_max = s * sqrt(lambda_max(G)) for
+    the Hermitian Gram matrix G = X* X (X X* when M has fewer rows than
+    columns), found by one ``eigvalsh``.  Scaling to unit entries keeps G
+    clear of overflow and underflow (a subnormal s is first raised by
+    2^600, exactly, since a complex M / s would overflow).  By Weyl's
+    inequality the computed lambda_max is off by about
+    eps * ||G|| = eps * ||X||^2, so sigma_max keeps full relative accuracy.
+    A zero or non-finite s is returned as it is.
     """
-    if T.rows == 0 or T.cols == 0:
-        return 0.0
-    with np.errstate(invalid="ignore"):  # inf * 1j; reported below
-        M = _slice_matrix(T)
-        if M is None:
-            M = chi(T)
     s = float(np.abs(M).max())
-    if not math.isfinite(s):
-        r, c = np.argwhere(~np.isfinite(T.entries))[0][:2]
-        raise ValueError(f"operator norm of a matrix with a non-finite entry "
-                         f"{T.entries[r, c].tolist()} at ({r}, {c})")
-    if s == 0.0:
-        return 0.0
+    if s == 0.0 or not math.isfinite(s):
+        return s
     shift = 0
     if s < np.finfo(float).tiny:
         shift = 600
@@ -358,6 +351,29 @@ def op_norm(T: QMatrix) -> float:
     del X
     return math.ldexp(
         s * math.sqrt(max(float(np.linalg.eigvalsh(G)[-1]), 0.0)), -shift)
+
+
+def op_norm(T: QMatrix) -> float:
+    """Operator norm sup{|Tx| : |x| <= 1} = largest singular value of chi(T).
+
+    M is the n x m ``_slice_matrix`` Z for slice-valued T (chi(T) is
+    unitarily similar to Z (+) conj(Z)) and chi(T) otherwise; the shared
+    core ``_matrix_norm`` takes sigma_max(M) from the largest eigenvalue of
+    the Gram matrix of M scaled to unit entries, which keeps full relative
+    accuracy.  Callers that need the smallest singular value (point
+    spectrum, kernel and range bases) must keep an SVD: the Gram matrix
+    squares its condition number.  A non-finite entry raises ``ValueError``.
+    """
+    if T.rows == 0 or T.cols == 0:
+        return 0.0
+    with np.errstate(invalid="ignore"):  # inf * 1j; reported below
+        # no local keeps M, so _matrix_norm frees it before forming G
+        norm = _matrix_norm(_norm_matrix(T))
+    if not math.isfinite(norm) and not np.isfinite(T.entries).all():
+        r, c = np.argwhere(~np.isfinite(T.entries))[0][:2]
+        raise ValueError(f"operator norm of a matrix with a non-finite entry "
+                         f"{T.entries[r, c].tolist()} at ({r}, {c})")
+    return norm
 
 
 def norm_scale(T: QMatrix) -> float:

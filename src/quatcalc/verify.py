@@ -35,7 +35,7 @@ from .irreducibility import (
     _find_idempotent,
     is_strongly_irreducible,
 )
-from .discretize import grid_points, kernel_op, paper_example, volterra_op
+from .discretize import grid_points, kernel_op, paper_example, volterra_norm
 
 __all__ = ["run_all", "SUITES", "default_tolerances"]
 
@@ -457,7 +457,7 @@ def _normal_example_commutator_norm(n: int) -> float:
 def suite_discretize(tols) -> list[dict]:
     """Grid-operator norms, convergence, factorizations, normality defects."""
     out = []
-    errs = [abs(op_norm(volterra_op(n)) - 1.0 / math.pi)
+    errs = [abs(volterra_norm(n) - 1.0 / math.pi)
             for n in (64, 128, 256, 512, 1024)]
     out.append(_check("discretize", "Volterra norm at n=1024 vs 1/pi",
                       errs[-1], tols["volterra-window"]))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -154,9 +155,12 @@ def test_examples_sweep_csv(tmp_path):
 
 
 def test_examples_sweep_to_1024_matches_closed_form(tmp_path):
-    """End to end: each swept Volterra norm is cot(pi/4n)/(4n) to 1e-13."""
+    """End to end: each swept Volterra norm is cot(pi/4n)/(4n) to 1e-13, and
+    the CSV has the bytes it had when the sweep built ``volterra_op(n)``."""
     out = tmp_path / "sweep.csv"
     assert main(["examples", "--sweep", "64:1024", "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "ee05714d670fa0a7a9bdead7b10818143ec4332ac47e36860208a5647f85a98c")
     rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
     ns = [int(r[0]) for r in rows]
     assert ns == [64, 128, 256, 512, 1024]
@@ -167,6 +171,17 @@ def test_examples_sweep_to_1024_matches_closed_form(tmp_path):
 
 def test_examples_bad_sweep():
     assert main(["examples", "--sweep", "32:8"]) == 2
+
+
+@pytest.mark.parametrize("extra, flag", [
+    (["--n", "96"], "--n"),
+    (["--full"], "--full"),
+])
+def test_examples_sweep_refuses_example_flags(extra, flag, capsys):
+    assert main(["examples", "--sweep", "64:128"] + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err
 
 
 def test_verify_subset_and_determinism(tmp_path):

@@ -15,6 +15,7 @@ from quatcalc.discretize import (
     kernel_op,
     mult_op,
     paper_example,
+    volterra_norm,
     volterra_op,
 )
 
@@ -23,6 +24,19 @@ def test_grid_points():
     assert np.allclose(grid_points(4), [0.125, 0.375, 0.625, 0.875])
     with pytest.raises(ValueError):
         grid_points(0)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("build", [
+    grid_points,
+    lambda n: mult_op(lambda x: x, n),
+    lambda n: kernel_op(lambda x, y: x * y, n),
+    volterra_op,
+    volterra_norm,
+], ids=["grid_points", "mult_op", "kernel_op", "volterra_op", "volterra_norm"])
+def test_builders_need_at_least_one_cell(build, n):
+    with pytest.raises(ValueError, match="need at least one cell"):
+        build(n)
 
 
 def test_mult_op_is_diagonal_with_sample_values():
@@ -254,20 +268,40 @@ def test_volterra_op_matches_the_einsum_formula_bitwise(n, coeff):
     assert got.tobytes() == _einsum_volterra(n, coeff).tobytes()
 
 
-def test_volterra_op_norm_peak_memory_is_within_1_6_entries():
-    """Building the n = 512 Volterra matrix and taking its norm holds at
-    most 1.6 times the entries' bytes at once (traced by tracemalloc):
-    the entries are written once, into the array the QMatrix adopts."""
-    op_norm(volterra_op(8).matrix)   # first calls load lazy numpy modules
+def _traced_peak(call) -> int:
+    """Peak bytes tracemalloc sees while call() runs."""
     gc.collect()
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        op_norm(volterra_op(512).matrix)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_volterra_op_norm_peak_memory_is_within_1_6_entries():
+    """Building the n = 512 Volterra matrix and taking its norm holds at
+    most 1.6 times the entries' bytes at once (traced by tracemalloc):
+    the entries are written once, into the array the QMatrix adopts."""
+    op_norm(volterra_op(8))   # first calls load lazy numpy modules
+    peak = _traced_peak(lambda: op_norm(volterra_op(512)))
     assert peak <= 1.6 * 512 * 512 * 4 * 8
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 96, 128, 256, 512, 1024])
+def test_volterra_norm_equals_op_norm_of_volterra_op_bitwise(n):
+    assert volterra_norm(n).hex() == op_norm(volterra_op(n)).hex()
+
+
+def test_volterra_norm_peak_memory_is_below_one_entries_array():
+    """The norm from the real weights holds at most three real n x n arrays
+    at once (the weights, their scaled copy, the Gram matrix; traced by
+    tracemalloc), below the 4 n^2 doubles of the quaternion entries that
+    ``volterra_op`` would build."""
+    volterra_norm(8)   # first calls load lazy numpy modules
+    peak = _traced_peak(lambda: volterra_norm(512))
+    assert peak <= 3.2 * 512 * 512 * 8
 
 
 def test_grid_builders_make_read_only_c_contiguous_entries():
