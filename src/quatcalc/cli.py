@@ -31,6 +31,10 @@ EXIT_SEPARATION = 4
 # the tolerances the riesz command gates its report on
 _RIESZ_TOLS = ("riesz-step", "riesz-restricted")
 
+# largest --sweep bound: volterra_norm(4096) holds three n x n float64
+# tables (the weights, their scaled copy, the Gram matrix), 384 MiB
+SWEEP_MAX_N = 4096
+
 
 class CliInputError(Exception):
     pass
@@ -64,8 +68,71 @@ def _emit(text: str, output: str | None) -> None:
             sys.stdout.write("\n")
 
 
+def _json_key(key) -> str:
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _write_json(o, level: int, out: list) -> None:
+    """Append the text of o, nested ``level`` deep, to ``out``.
+
+    Containers are written here, and every other value and key by
+    ``json.dumps``, which raises json's ``TypeError`` for a value it cannot
+    write.  A list of finite floats is joined from ``float.__repr__`` in
+    one call; json writes nan and inf as NaN and Infinity, and their reprs
+    hold the only "n" a float's repr can have.
+    """
+    if isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = "\n" + "  " * (level + 1)
+        try:
+            text = ("," + inner).join(map(float.__repr__, o))
+        except TypeError:  # not all floats
+            text = "n"
+        if "n" not in text:
+            out.append("[" + inner + text + "\n" + "  " * level + "]")
+            return
+        out.append("[")
+        for k, value in enumerate(o):
+            out.append("," + inner if k else inner)
+            _write_json(value, level + 1, out)
+        out.append("\n" + "  " * level + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = "\n" + "  " * (level + 1)
+        out.append("{")
+        for k, (key, value) in enumerate(sorted(o.items())):
+            out.append(("," if k else "") + inner
+                       + json.dumps(_json_key(key)) + ": ")
+            _write_json(value, level + 1, out)
+        out.append("\n" + "  " * level + "}")
+    else:
+        out.append(json.dumps(o))
+
+
+def _dumps(report) -> str:
+    """``json.dumps(report, indent=2, sort_keys=True)``, byte for byte.
+
+    json's C encoder ignores ``indent``, so json writes indented text with
+    its Python encoder; this writer makes the same text faster.  A cyclic
+    value, which no report is, raises ``RecursionError`` instead of json's
+    ``ValueError``.
+    """
+    out: list[str] = []
+    _write_json(report, 0, out)
+    return "".join(out)
+
+
 def _dump(report: dict, output: str | None) -> None:
-    _emit(json.dumps(report, indent=2, sort_keys=True), output)
+    _emit(_dumps(report), output)
 
 
 def _parse_partition(spec: str) -> list[Sphere]:
@@ -108,8 +175,8 @@ def cmd_spectrum(args) -> int:
         raise CliInputError("operator must be square")
     spec = spherical_spectrum(T)
     entries = spec.to_json()
-    for rep, s in zip(entries, spec.spheres):
-        rep["delta_min_sv"] = float(_delta_singular_values(T, s)[-1])
+    for rep, sv in zip(entries, _delta_singular_values(T, spec.spheres)):
+        rep["delta_min_sv"] = float(sv[-1])
     _dump({"spheres": entries, "size": T.rows}, args.output)
     return EXIT_OK
 
@@ -151,6 +218,8 @@ def _parse_sweep(spec: str) -> list[int]:
         raise CliInputError("--sweep must be of the form a:b")
     if lo < 2 or hi < lo:
         raise CliInputError("--sweep bounds must satisfy 2 <= a <= b")
+    if hi > SWEEP_MAX_N:
+        raise CliInputError(f"--sweep upper bound {hi} is above {SWEEP_MAX_N}")
     ns, n = [], lo
     while n <= hi:
         ns.append(n)
@@ -160,7 +229,8 @@ def _parse_sweep(spec: str) -> list[int]:
 
 def cmd_examples(args) -> int:
     if args.sweep:
-        for flag, given in (("--n", args.n is not None), ("--full", args.full)):
+        for flag, given in (("--which", args.which is not None),
+                            ("--n", args.n is not None), ("--full", args.full)):
             if given:
                 raise CliInputError(f"{flag} cannot be combined with --sweep")
         ns = _parse_sweep(args.sweep)
@@ -174,7 +244,7 @@ def cmd_examples(args) -> int:
     if args.n is None:
         raise CliInputError("--n is required without --sweep")
     try:
-        bundle = paper_example(args.which, args.n)
+        bundle = paper_example(args.which or "normal", args.n)
     except ValueError as e:
         raise CliInputError(str(e))
     diag = dict(bundle.diagnostics)
@@ -231,12 +301,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("examples", help="reproduce the worked examples")
     sp.add_argument("--which", choices=["normal", "nonnormal"],
-                    default="normal")
+                    default=None,
+                    help="worked example (default: normal; not with --sweep)")
     sp.add_argument("--n", type=int, default=None,
                     help="grid size (multiple of 3)")
     sp.add_argument("--sweep", default=None,
-                    help="Volterra norm sweep over n = a, 2a, ... <= b "
-                         "(CSV output; not with --n or --full)")
+                    help="Volterra norm sweep over n = a, 2a, ... <= b, "
+                         f"b <= {SWEEP_MAX_N} (CSV output; not with --which, "
+                         "--n or --full)")
     sp.add_argument("--full", action="store_true",
                     help="embed the assembled operator in the report")
     common(sp)

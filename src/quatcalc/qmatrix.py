@@ -61,10 +61,13 @@ class QMatrix:
     be changed later without touching the matrix.  Arrays the library has
     just built (the results of the algebra, the builders, ``chi_inv``, the
     grid operators) are adopted by ``QMatrix._adopt`` without a copy.  Either
-    way the entries are a read-only, C-contiguous float64 array.
+    way the entries are a read-only, C-contiguous float64 array.  As they
+    cannot change, ``op_norm`` keeps its result in the second slot
+    ``_norm``, set once, and computes the norm at most once per matrix; a
+    new matrix with equal entries computes its own.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "_norm")
 
     def __init__(self, entries: np.ndarray):
         entries = np.asarray(entries, dtype=float)
@@ -363,7 +366,14 @@ def op_norm(T: QMatrix) -> float:
     accuracy.  Callers that need the smallest singular value (point
     spectrum, kernel and range bases) must keep an SVD: the Gram matrix
     squares its condition number.  A non-finite entry raises ``ValueError``.
+    The norm is computed at most once per matrix and kept on it (the
+    entries are read-only, see ``QMatrix``), so the callers that each need
+    ||T|| of one T (``norm_scale``, the spectrum, the quadrature's proximity
+    guard) share one eigensolve.
     """
+    norm = getattr(T, "_norm", None)
+    if norm is not None:
+        return norm
     if T.rows == 0 or T.cols == 0:
         return 0.0
     with np.errstate(invalid="ignore"):  # inf * 1j; reported below
@@ -373,6 +383,7 @@ def op_norm(T: QMatrix) -> float:
         r, c = np.argwhere(~np.isfinite(T.entries))[0][:2]
         raise ValueError(f"operator norm of a matrix with a non-finite entry "
                          f"{T.entries[r, c].tolist()} at ({r}, {c})")
+    object.__setattr__(T, "_norm", norm)
     return norm
 
 

@@ -471,6 +471,25 @@ def calc_adjoint_check(f, T: QMatrix, contour: Contour) -> float:
 # full Riesz decomposition
 # ---------------------------------------------------------------------------
 
+def _chi_svd(P: QMatrix) -> tuple[np.ndarray, int, np.ndarray]:
+    """U, the chi rank at the 0.5 cut and V* of the SVD of chi(P)."""
+    U, sv, Vh = np.linalg.svd(chi(P))
+    return U, int(np.count_nonzero(sv > 0.5)), Vh
+
+
+def _span_basis(Z: np.ndarray) -> QMatrix:
+    """Quaternionic orthonormal basis of the span of Z's columns, the chi
+    image of a range of P.  An odd chi rank (no quaternionic range has
+    one) is a ``PartitionError``: P is not the projection of the requested
+    split."""
+    rank_c = Z.shape[1]
+    if rank_c % 2:
+        raise PartitionError(
+            f"chi(P) has odd rank {rank_c} at the 0.5 cut; the range of a "
+            f"quaternionic operator has even chi rank")
+    return gram_schmidt(Z, rank_c // 2, 1e-6)[1]
+
+
 def range_basis(P: QMatrix) -> QMatrix:
     """Quaternionic orthonormal basis of the range of a projection-like P.
 
@@ -479,13 +498,8 @@ def range_basis(P: QMatrix) -> QMatrix:
     (no quaternionic range has one) is a ``PartitionError``: P is not the
     projection of the requested split.
     """
-    U, sv, _ = np.linalg.svd(chi(P))
-    rank_c = int(np.count_nonzero(sv > 0.5))
-    if rank_c % 2:
-        raise PartitionError(
-            f"chi(P) has odd rank {rank_c} at the 0.5 cut; the range of a "
-            f"quaternionic operator has even chi rank")
-    return gram_schmidt(U[:, :rank_c], rank_c // 2, 1e-6)[1]
+    U, rank_c, _ = _chi_svd(P)
+    return _span_basis(U[:, :rank_c])
 
 
 @dataclass(frozen=True)
@@ -520,6 +534,10 @@ def riesz_decompose(T: QMatrix, sigma) -> RieszPair:
     the eigenvalues on both sides of the split, the derivative terms of
     Jordan blocks included.  A second quadrature for P_tau would only check
     P_sigma + P_tau = I, which I - P_sigma satisfies by construction.
+
+    Both bases come from one SVD of chi(P_sigma): range P_sigma from the
+    left singular vectors above the 0.5 cut (as ``range_basis``), and
+    range P_tau = ker P_sigma from the right singular vectors below it.
     """
     spec = spherical_spectrum(T)
     all_spheres = set(spec.spheres)
@@ -531,8 +549,9 @@ def riesz_decompose(T: QMatrix, sigma) -> RieszPair:
     P_sigma = riesz_projection(T, build_contour(sig, ta), spec)
     P_tau = QMatrix.eye(T.rows) - P_sigma
 
-    B_sigma = range_basis(P_sigma)
-    B_tau = range_basis(P_tau)
+    U, rank_c, Vh = _chi_svd(P_sigma)
+    B_sigma = _span_basis(U[:, :rank_c])
+    B_tau = _span_basis(Vh[rank_c:].conj().T)
     T_sigma = B_sigma.adjoint() @ T @ B_sigma
     T_tau = B_tau.adjoint() @ T @ B_tau
     spec_sigma = spherical_spectrum(T_sigma)

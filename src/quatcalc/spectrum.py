@@ -68,8 +68,12 @@ def delta(T: QMatrix, q: Quaternion) -> QMatrix:
     """The class operator T^2 - 2 re(q) T + |q|^2 I."""
     if not T.is_square:
         raise ValueError("delta requires a square matrix")
-    n = T.rows
-    return T @ T - (2.0 * q.re) * T + QMatrix.real_scalar(n, q.norm_sq())
+    return _delta_of_square(T, T @ T, q)
+
+
+def _delta_of_square(T: QMatrix, T2: QMatrix, q: Quaternion) -> QMatrix:
+    """``delta(T, q)`` from T2 = T @ T, bit for bit."""
+    return T2 - (2.0 * q.re) * T + QMatrix.real_scalar(T.rows, q.norm_sq())
 
 
 def _chi_eigenvalues(T: QMatrix) -> np.ndarray:
@@ -112,10 +116,13 @@ def spherical_spectrum(T: QMatrix, tol: float = 1e-9) -> SphericalSpectrum:
                              tuple(int(mults[k]) for k in keep))
 
 
-def _delta_singular_values(T: QMatrix, sp: Sphere) -> np.ndarray:
-    """Singular values of chi(Delta_q(T)), q = slice_embed(sp), by SVD: a
-    Gram matrix would square the conditioning of sigma_min."""
-    return np.linalg.svd(chi(delta(T, slice_embed(sp))), compute_uv=False)
+def _delta_singular_values(T: QMatrix, spheres) -> list[np.ndarray]:
+    """Singular values of chi(Delta_q(T)), q = slice_embed(sp), for each
+    sphere sp, by SVD (a Gram matrix would square the conditioning of
+    sigma_min); T @ T is formed once for all of them."""
+    T2 = T @ T
+    return [np.linalg.svd(chi(_delta_of_square(T, T2, slice_embed(sp))),
+                          compute_uv=False) for sp in spheres]
 
 
 def point_spectrum(T: QMatrix, tol: float = 1e-8) -> SphericalSpectrum:
@@ -123,8 +130,7 @@ def point_spectrum(T: QMatrix, tol: float = 1e-8) -> SphericalSpectrum:
     spec = spherical_spectrum(T)
     scale = norm_scale(T)
     spheres, dims = [], []
-    for sp in spec.spheres:
-        sv = _delta_singular_values(T, sp)
+    for sp, sv in zip(spec.spheres, _delta_singular_values(T, spec.spheres)):
         kdim = int(np.count_nonzero(sv <= tol * scale ** 2)) // 2  # over H
         if kdim > 0:
             spheres.append(sp)

@@ -7,9 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from quatcalc import cli
+from quatcalc import qmatrix as qm
 from quatcalc.cli import main
-from quatcalc.qmatrix import QMatrix
+from quatcalc.qmatrix import QMatrix, op_norm
 from quatcalc.quaternion import Quaternion
 
 
@@ -176,12 +179,29 @@ def test_examples_bad_sweep():
 @pytest.mark.parametrize("extra, flag", [
     (["--n", "96"], "--n"),
     (["--full"], "--full"),
+    (["--which", "nonnormal"], "--which"),
+    (["--which", "normal"], "--which"),
 ])
 def test_examples_sweep_refuses_example_flags(extra, flag, capsys):
     assert main(["examples", "--sweep", "64:128"] + extra) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert flag in captured.err
+
+
+def test_examples_sweep_refuses_a_bound_above_the_cap(monkeypatch, capsys):
+    """The bound is checked before any norm is taken: an oversized sweep
+    exits 2 and never reaches volterra_norm."""
+    def refuse(n):
+        raise AssertionError(f"volterra_norm({n}) called")
+
+    monkeypatch.setattr(cli, "volterra_norm", refuse)
+    for hi in (cli.SWEEP_MAX_N + 1, 1000000):
+        assert main(["examples", "--sweep", f"64:{hi}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(cli.SWEEP_MAX_N) in captured.err
+    assert cli._parse_sweep(f"64:{cli.SWEEP_MAX_N}")[-1] == cli.SWEEP_MAX_N
 
 
 def test_verify_subset_and_determinism(tmp_path):
@@ -248,3 +268,75 @@ def test_python_dash_m_runs_the_cli():
         env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["passed"]
+
+
+# report-shaped values: what the writer must reproduce byte for byte
+_json_scalars = (
+    st.none() | st.booleans()
+    | st.integers(-2 ** 70, 2 ** 70)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0,
+                       5e-324, 1e308])
+    | st.floats(allow_nan=True, allow_infinity=True).map(np.float64)
+    | st.text(st.characters(codec="utf-8"), max_size=8))
+# one key type per dict, so that sorting the keys cannot raise
+_json_keys = st.sampled_from([
+    st.text(st.characters(codec="utf-8"), max_size=6),
+    st.integers(-2 ** 70, 2 ** 70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.none(),
+])
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.lists(inner, max_size=5).map(tuple)
+                   | st.lists(st.floats(), max_size=5)
+                   | _json_keys.flatmap(
+                       lambda keys: st.dictionaries(keys, inner, max_size=5))),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=_json_values)
+def test_report_writer_matches_json_dumps(obj):
+    assert cli._dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("obj", [
+    {1, 2}, {"a": [1.0, {2.0}]}, [np.array([1.0])], (1.0, 2j),
+    {(1, 2): 3}, {1: 2, "a": 3},
+])
+def test_report_writer_raises_where_json_dumps_does(obj):
+    with pytest.raises(TypeError) as ref:
+        json.dumps(obj, indent=2, sort_keys=True)
+    with pytest.raises(TypeError) as got:
+        cli._dumps(obj)
+    assert str(got.value) == str(ref.value)
+
+
+def test_riesz_request_computes_the_norm_of_T_once(tmp_path, monkeypatch):
+    """One riesz request runs the norm's eigensolve on T's matrix once; a
+    new QMatrix with the same entries computes its own norm."""
+    e = QMatrix.diag([Quaternion(0, 0, 1, 0), Quaternion(3, 0, 0, 0),
+                      Quaternion(-1, 0.5, 0, 0)]).entries.copy()
+    e[0, 1] = (1.0, 0.0, 0.5, 0.0)   # not normal
+    T = QMatrix(e)
+    p = tmp_path / "T.json"
+    _write_matrix(p, T)
+    M_T = qm._norm_matrix(T)
+    seen = []
+    matrix_norm = qm._matrix_norm
+
+    def recording(M):
+        seen.append(M.shape == M_T.shape and np.array_equal(M, M_T))
+        return matrix_norm(M)
+
+    monkeypatch.setattr(qm, "_matrix_norm", recording)
+    assert main(["riesz", "--input", str(p), "--partition", "3,0",
+                 "--output", str(tmp_path / "r.json")]) == 0
+    assert sum(seen) == 1
+    seen.clear()
+    first, again = QMatrix(e), QMatrix(e)
+    assert op_norm(first) == op_norm(first) == op_norm(again) > 1.0
+    assert seen == [True, True]

@@ -188,6 +188,38 @@ def test_range_basis_reports_the_odd_chi_rank_it_found(monkeypatch):
         range_basis(P)
 
 
+@pytest.mark.parametrize("n, seed", [(4, 0), (8, 1), (12, 2), (12, 3)])
+def test_riesz_decompose_takes_both_bases_from_one_svd(n, seed, monkeypatch):
+    """On T = G D G^-1 (non-normal), basis_tau comes from the right singular
+    vectors of the one SVD of chi(P_sigma): it is quaternionic-orthonormal
+    and spans ker P_sigma = range P_tau, and basis_sigma is range_basis's."""
+    r = np.random.default_rng(seed)
+    eigs = [Quaternion(0, 0, 1, 0), Quaternion(2, 0, 0, 0.5),
+            Quaternion(-1, 0, 0, 0)]
+    D = QMatrix.diag([eigs[k % 3] for k in range(n)])
+    G = chi(QMatrix(r.standard_normal((n, n, 4))) * (1.0 / n)
+            + QMatrix.eye(n) * 2.0)
+    T = chi_inv(G @ chi(D) @ np.linalg.inv(G), tol=1e-10)
+    assert op_norm(T @ T.adjoint() - T.adjoint() @ T) > 1e-3
+    svd_calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(M, *args, **kwargs):
+        svd_calls.append(M.shape)
+        return svd(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    pair = riesz_decompose(T, [Sphere(0.0, 1.0)])
+    assert svd_calls == [(2 * n, 2 * n)]
+    B = pair.basis_tau
+    assert B.cols == n - pair.basis_sigma.cols == n - len(range(0, n, 3))
+    assert op_norm(B.adjoint() @ B - QMatrix.eye(B.cols)) <= 1e-12
+    assert op_norm(pair.P_sigma @ B) <= 1e-12
+    assert op_norm(pair.P_tau @ B - B) <= 1e-12
+    assert np.array_equal(pair.basis_sigma.entries,
+                          range_basis(pair.P_sigma).entries)
+
+
 def test_restricted_spectra_partition(rng):
     T = QMatrix.diag([Quaternion(0, 0, 1, 0), Quaternion(3, 0, 0, 0),
                       Quaternion(-1, 0.5, 0, 0)])
