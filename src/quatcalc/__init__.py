@@ -39,7 +39,6 @@ from .spectrum import (
     SResolventSample,
     SpectrumProximityError,
     delta,
-    point_spectrum,
     s_resolvent,
     spherical_spectrum,
 )

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: ``spectrum``, ``riesz``, ``examples``, ``verify``.
-Exit codes: 0 success, 1 invariant failure, 2 input error, 3 partition
-error, 4 separation error.  All reports are JSON (CSV for sweeps) and are
+Exit codes: 0 success or a reader that closed stdout, 1 invariant failure,
+2 input error, 3 partition error, 4 separation error or a quadrature that
+fails its round-off check.  All reports are JSON (CSV for sweeps) and are
 byte-identical for a fixed seed and configuration.
 """
 
@@ -66,6 +67,7 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
+        sys.stdout.flush()  # a closed pipe raises here, not at shutdown
 
 
 def _json_key(key) -> str:
@@ -334,6 +336,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # quatcalc ... | head -1: shutdown's flush must not meet the pipe
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except CliInputError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT

@@ -100,14 +100,14 @@ def _reducing_eigenvector(M: np.ndarray) -> QMatrix:
     return v @ v.adjoint()
 
 
-def is_strongly_irreducible(T: QMatrix,
-                            tol: float = 1e-8) -> StrongIrreducibilityReport:
+def is_strongly_irreducible(T: QMatrix) -> StrongIrreducibilityReport:
     """Decide strong irreducibility and always produce a certificate.
 
     Structural criterion (finite dimension): strongly irreducible iff the
     spherical spectrum is one sphere and the chi eigenspace at its upper
     representative lam is minimal (dimension 1 for a nonreal sphere, 2 for
-    a real one, i.e. a single Jordan chain).  ``detail["route"]`` is "rank"
+    a real one, i.e. a single Jordan chain), its singular values counted
+    at the cut ``_jitter_resolution``.  ``detail["route"]`` is "rank"
     for the rank decision (``kernel_dim``, ``minimal_dim`` and the singular
     values on either side of the cut) or the witness route.  "decomposable"
     carries ``detail["residuals"]`` = {"idempotent", "commutes"}, both at
@@ -151,7 +151,7 @@ def is_strongly_irreducible(T: QMatrix,
         sum(s.rad * m for s, m in zip(spec.spheres, mults)) / sum(mults))
     # Rank threshold at the jitter resolution: semisimple directions whose
     # eigenvalue sits anywhere in the cluster are genuine kernel directions.
-    cut = max(tol * scale, cluster_tol)
+    cut = cluster_tol
     M = chi(T) - complex(sphere.re, sphere.rad) * np.eye(2 * T.rows)
     sv = np.linalg.svd(M, compute_uv=False)
     dim = int(np.count_nonzero(sv <= cut))
@@ -188,11 +188,12 @@ def is_strongly_irreducible(T: QMatrix,
     return certified(E, {"route": "search", **split})
 
 
-def complex_strongly_irreducible(S: np.ndarray, tol: float = 1e-8) -> bool:
+def complex_strongly_irreducible(S: np.ndarray) -> bool:
     """Complex-linear strong irreducibility: similar to one Jordan block.
 
-    Equivalent to a single eigenvalue with geometric multiplicity one.  A
-    0 x 0 matrix has no Jordan block, so the answer for it is False.
+    Equivalent to a single eigenvalue with geometric multiplicity one, both
+    judged at ``_jitter_resolution``.  A 0 x 0 matrix has no Jordan block,
+    so the answer for it is False.
     """
     S = np.asarray(S, dtype=complex)
     n = S.shape[0]
@@ -209,12 +210,11 @@ def complex_strongly_irreducible(S: np.ndarray, tol: float = 1e-8) -> bool:
     if np.abs(w - lam).max() > cluster_tol:
         return False
     sv = np.linalg.svd(S - lam * np.eye(n), compute_uv=False)
-    gdim = int(np.count_nonzero(sv <= max(tol * scale, cluster_tol)))
+    gdim = int(np.count_nonzero(sv <= cluster_tol))
     return gdim <= 1
 
 
-def extension_irreducibility_check(Sp: np.ndarray, J: QMatrix,
-                                   tol: float = 1e-8) -> dict:
+def extension_irreducibility_check(Sp: np.ndarray, J: QMatrix) -> dict:
     """Compare strong irreducibility of a slice operator and its extension.
 
     ``Sp`` acts complex-linearly on the +1 slice of ``J``; its quaternionic
@@ -223,9 +223,9 @@ def extension_irreducibility_check(Sp: np.ndarray, J: QMatrix,
     witnesses, and ``agree`` is False only on a genuine discrepancy
     (an indeterminate quaternionic verdict is reported as such).
     """
-    complex_si = complex_strongly_irreducible(Sp, tol=tol)
+    complex_si = complex_strongly_irreducible(Sp)
     Tq = extend(Sp, J)
-    report = is_strongly_irreducible(Tq, tol=tol)
+    report = is_strongly_irreducible(Tq)
     agree = (report.verdict != "indeterminate"
              and complex_si == report.strongly_irreducible)
     return {

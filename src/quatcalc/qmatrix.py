@@ -363,8 +363,8 @@ def op_norm(T: QMatrix) -> float:
     unitarily similar to Z (+) conj(Z)) and chi(T) otherwise; the shared
     core ``_matrix_norm`` takes sigma_max(M) from the largest eigenvalue of
     the Gram matrix of M scaled to unit entries, which keeps full relative
-    accuracy.  Callers that need the smallest singular value (point
-    spectrum, kernel and range bases) must keep an SVD: the Gram matrix
+    accuracy.  Callers that need the smallest singular value (Delta_q
+    at a sphere, kernel and range bases) must keep an SVD: the Gram matrix
     squares its condition number.  A non-finite entry raises ``ValueError``.
     The norm is computed at most once per matrix and kept on it (the
     entries are read-only, see ``QMatrix``), so the callers that each need
@@ -408,17 +408,18 @@ def norm_scale(T: QMatrix) -> float:
     return max(op_norm(T), 1.0)
 
 
-def positive_sqrt(T: QMatrix, tol: float = 1e-10) -> QMatrix:
+def positive_sqrt(T: QMatrix) -> QMatrix:
     """Unique positive square root of a positive operator.
 
-    Eigenvalues of chi(T) may dip slightly negative; they are clipped at
-    -1e-12 * ||T|| and anything below that is a domain error.
+    T must be self-adjoint to 1e-10 max(max|chi(T)|, 1).  Eigenvalues of
+    chi(T) may dip slightly negative; they are clipped at -1e-12 * ||T||
+    and anything below that is a domain error.
     """
     if not T.is_square:
         raise ValueError("square root requires a square matrix")
     M = chi(T)
     scale = max(np.abs(M).max(initial=0.0), 1.0)
-    if np.abs(M - M.conj().T).max(initial=0.0) > tol * scale:
+    if np.abs(M - M.conj().T).max(initial=0.0) > 1e-10 * scale:
         raise ValueError("square root requires a self-adjoint operator")
     lam, V = np.linalg.eigh(0.5 * (M + M.conj().T))
     floor = -1e-12 * scale
@@ -433,11 +434,11 @@ def modulus(T: QMatrix) -> QMatrix:
     return positive_sqrt(T.adjoint() @ T)
 
 
-def polar(T: QMatrix, rank_tol: float = 1e-10) -> tuple[QMatrix, QMatrix]:
+def polar(T: QMatrix) -> tuple[QMatrix, QMatrix]:
     """Polar decomposition T = W0 |T| with N(T) = N(W0).
 
-    W0 is the partial isometry T |T|^+ ; zero singular values map to zero so
-    that the null spaces of T and W0 coincide.
+    W0 is the partial isometry T |T|^+ ; zero singular values (1e-10 of the
+    largest) map to zero so that the null spaces of T and W0 coincide.
     """
     if not T.is_square:
         raise ValueError("polar decomposition requires a square matrix")
@@ -446,7 +447,7 @@ def polar(T: QMatrix, rank_tol: float = 1e-10) -> tuple[QMatrix, QMatrix]:
     lam, V = np.linalg.eigh(0.5 * (H + H.conj().T))
     lam = np.clip(lam, 0.0, None)
     sv = np.sqrt(lam)
-    cutoff = rank_tol * max(sv.max(initial=0.0), 1e-300)
+    cutoff = 1e-10 * max(sv.max(initial=0.0), 1e-300)
     inv_sv = np.where(sv > cutoff, 1.0 / np.where(sv > cutoff, sv, 1.0), 0.0)
     absT = V @ np.diag(sv) @ V.conj().T
     W = M @ V @ np.diag(inv_sv) @ V.conj().T
@@ -494,12 +495,13 @@ def gram_schmidt(Z: np.ndarray, k: int, tol: float) -> tuple[list[int], QMatrix]
     return kept, QMatrix._adopt(chi_vec_inv(V[:, 0::2]))
 
 
-def normal_eigensystem(T: QMatrix, tol: float = 1e-9) -> tuple[np.ndarray, QMatrix]:
+def normal_eigensystem(T: QMatrix) -> tuple[np.ndarray, QMatrix]:
     """Spectral decomposition of a normal T: T = U diag(lam) U*.
 
     Returns ``(lam, U)`` where ``lam`` is a complex array of eigenvalues in
     the closed upper half plane of C_i and the columns of the unitary U are
-    quaternionic eigenvectors: T u_l = u_l * lam_l.
+    quaternionic eigenvectors: T u_l = u_l * lam_l, for
+    max|chi(TT* - T*T)| <= 1e-8 max(||T||, 1)^2.
     """
     if not T.is_square:
         raise ValueError("eigensystem requires a square matrix")
@@ -507,7 +509,7 @@ def normal_eigensystem(T: QMatrix, tol: float = 1e-9) -> tuple[np.ndarray, QMatr
     N = chi(T)
     scale = norm_scale(T)
     defect = np.abs(N @ N.conj().T - N.conj().T @ N).max(initial=0.0)
-    if defect > tol * scale ** 2 * 10:
+    if defect > 1e-9 * scale ** 2 * 10:
         raise ValueError(f"matrix is not normal (defect {defect:.3e})")
     # numpy has no Schur form; the only scipy.linalg call in the package,
     # imported here so that no hot path loads a second BLAS library
@@ -538,18 +540,19 @@ class CartesianParts:
     J: QMatrix
 
 
-def cartesian(T: QMatrix, tol: float = 1e-10) -> CartesianParts:
+def cartesian(T: QMatrix) -> CartesianParts:
     """Cartesian decomposition of a normal operator.
 
-    J is the phase of T - T* on the complement of its kernel; on the kernel
-    it acts as right multiplication by i in the Schur-adapted eigenbasis
-    (a deterministic but non-unique completion).
+    T is normal when ||T*T - TT*|| <= 1e-9 ||T||^2.  J is the phase of
+    T - T* on the complement of its kernel; on the kernel it acts as right
+    multiplication by i in the Schur-adapted eigenbasis (a deterministic
+    but non-unique completion).
     """
     if not T.is_square:
         raise ValueError("cartesian decomposition requires a square matrix")
     scale = max(op_norm(T), 1e-300)
     defect = op_norm(T.adjoint() @ T - T @ T.adjoint())
-    if defect > tol * scale ** 2 * 10:
+    if defect > 1e-10 * scale ** 2 * 10:
         raise ValueError(f"cartesian decomposition requires a normal operator "
                          f"(defect {defect:.3e})")
     lam, U = normal_eigensystem(T)
@@ -577,19 +580,20 @@ def slice_split(x: np.ndarray, J: QMatrix, m: ImaginaryUnit = UNIT_I
     return x_plus, x_minus
 
 
-def plus_eigenbasis(J: QMatrix, tol: float = 1e-10) -> QMatrix:
+def plus_eigenbasis(J: QMatrix) -> QMatrix:
     """Quaternionic-orthonormal basis of H_+^{Ji} = {x : Jx = x*i}.
 
     Returned as the n x n QMatrix whose columns u_l satisfy J u_l = u_l * i;
-    they form a Hilbert basis of the whole space over the quaternions.
+    they form a Hilbert basis of the whole space over the quaternions.  J
+    is checked to be anti-self-adjoint and unitary to 1e-10 and 1e-9.
     """
     if not J.is_square:
         raise ValueError("J must be square")
     n = J.rows
     M = chi(J)
     scale = max(np.abs(M).max(initial=0.0), 1.0)
-    if (np.abs(M + M.conj().T).max(initial=0.0) > tol * scale
-            or np.abs(M @ M.conj().T - np.eye(2 * n)).max(initial=0.0) > tol * 10):
+    if (np.abs(M + M.conj().T).max(initial=0.0) > 1e-10 * scale
+            or np.abs(M @ M.conj().T - np.eye(2 * n)).max(initial=0.0) > 1e-10 * 10):
         raise ValueError("J must be anti-self-adjoint and unitary")
     H = -1j * M  # Hermitian with eigenvalues +-1
     lam, V = np.linalg.eigh(0.5 * (H + H.conj().T))
@@ -615,15 +619,16 @@ def extend(Tp: np.ndarray, J: QMatrix, basis: QMatrix | None = None) -> QMatrix:
     return U @ Tq @ U.adjoint()
 
 
-def restrict(V: QMatrix, J: QMatrix, tol: float = 1e-10,
+def restrict(V: QMatrix, J: QMatrix,
              basis: QMatrix | None = None) -> np.ndarray:
-    """Complex matrix of a J-commuting operator restricted to H_+^{Ji}."""
+    """Complex matrix of a J-commuting operator restricted to H_+^{Ji};
+    JV = VJ and a C_i-valued result hold to 1e-9 max(||V||, 1)."""
     scale = norm_scale(V)
-    if op_norm(J @ V - V @ J) > tol * scale * 10:
+    if op_norm(J @ V - V @ J) > 1e-10 * scale * 10:
         raise ValueError("operator does not commute with J; no restriction exists")
     U = plus_eigenbasis(J) if basis is None else basis
     R = U.adjoint() @ V @ U
     e = R.entries
-    if np.abs(e[..., 2:]).max(initial=0.0) > tol * scale * 10:
+    if np.abs(e[..., 2:]).max(initial=0.0) > 1e-10 * scale * 10:
         raise ValueError("restriction is not C_i-valued")
     return e[..., 0] + 1j * e[..., 1]

@@ -38,7 +38,7 @@ each pair costs one LU inverse, and no factorization is shared across
 nodes.  A once-per-call Schur or Hessenberg form of chi(T) would be cheaper
 per node, but its backward error is amplified by ||(chi T - z)^-1||^2 on
 fragile eigenvalues of highly non-normal T (Trefethen-Embree, Spectra and
-Pseudospectra).
+Pseudospectra).  The left calculus is the adjoint of a right one on T*.
 
 The lead nodes of the pairs run in one serial loop, in node order; BLAS
 threads (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``) are the only
@@ -89,7 +89,8 @@ def _round_nodes(k: float) -> int:
 
 
 class SeparationError(ValueError):
-    """Sphere sets too close (or overlapping) to thread a contour between."""
+    """Sphere sets too close (or overlapping) to thread a contour between,
+    or a quadrature that fails its round-off check there."""
 
 
 class PartitionError(ValueError):
@@ -317,20 +318,19 @@ def _in_slice(z: complex, m: ImaginaryUnit) -> Quaternion:
     return Quaternion(x, y * m.x, y * m.y, y * m.z)
 
 
-def _quadrature(f, side: str, T: QMatrix, contour: Contour,
+def _quadrature(f, T: QMatrix, contour: Contour,
                 spectrum: SphericalSpectrum | None) -> QMatrix:
-    """The calculus integral of ``func_calc`` by per-node trapezoid sums.
+    """The right calculus integral of ``func_calc`` by per-node trapezoid sums.
 
     Runs in C_i (see the module docstring): T' = conj(u) T u entrywise,
     f'(q) = conj(u) f(u q conj(u)) u, and the result is u X' conj(u).
-    By the row-block identity node k's right term is -(chi(q_k) (x) I_n)
+    By the row-block identity node k's term is -(chi(q_k) (x) I_n)
     [top rows of R_k; bottom rows of R_partner(k)], R_k = (chi T' - z_k)^-1,
-    q = f'(z) w (the left term mirrors it with column blocks, q = w f'(z)).
-    The sum lies in the image of chi, so only its top n rows are kept.  Lead
-    nodes (k <= partner[k]) take one LU inverse each, in node order; their
-    partners' R is its block mirror.  The proximity guard is
-    ``_trace_distances``, and the round-off sentinel
-    ``_mirror_defect`` runs at the lead node nearest the spectrum.  A circle
+    q = f'(z) w.  The sum lies in the image of chi, so only its top n rows
+    are kept.  Lead nodes (k <= partner[k]) take one LU inverse each, in
+    node order; their partners' R is its block mirror.  The proximity guard
+    is ``_trace_distances``; the round-off sentinel ``_mirror_defect`` runs
+    at the lead node nearest the spectrum (``SeparationError``).  A circle
     enclosing spheres of total multiplicity k > N takes k nodes, rounded up
     to a multiple of 16, so that no enclosed pole aliases.  Before any
     inverse is taken, f's samples on each circle are checked for regularity
@@ -371,17 +371,10 @@ def _quadrature(f, side: str, T: QMatrix, contour: Contour,
             f"f is not slice-regular, or not resolved by {N} nodes, on the "
             f"disc of a contour circle: top Fourier coefficient "
             f"{top_coef.max():.3e}")
-    if side == "left":   # q = w f' = w fa + w fb j
-        a, b = w * fa, w * fb
-    else:                # q = f' w = fa w + fb conj(w) j
-        a, b = fa * w, fb * w.conj()
+    a, b = fa * w, fb * w.conj()  # q = f' w = fa w + fb conj(w) j
     n = T.rows
     Tc = chi(QMatrix._adopt(qmul(qmul(ubar, T.entries), u)))
     c = b[partner]  # node k adds a_k R_k[:n] + c_k R_k[n:] to the top rows
-    if side == "left":
-        # columns of R are the rows of inv(chi(T')^T - z) = R^T
-        Tc = Tc.T
-        c = -c.conj()
     # the partner's term a_p R_p[:n] + c_p R_p[n:] (R_p the mirror of R_k) is
     # conj([W[:, n:], -W[:, :n]]), W = conj(a_p) R_k[n:] - conj(c_p) R_k[:n]
     lead = np.flatnonzero(np.arange(z.size) <= partner)
@@ -404,11 +397,10 @@ def _quadrature(f, side: str, T: QMatrix, contour: Contour,
                f"raised from {given}: pole order up to {poles}"
                if poles > given else "as built")
     if defect > 1e-6 * max(np.abs(top).max(), 1.0):
-        raise ValueError(f"quadrature round-off check: defect {defect:.3e}")
-    A, B = top[:, :n], top[:, n:]
-    if side == "left":
-        A, B = A.T, -B.conj().T
-    return QMatrix._adopt(qmul(qmul(u, _unpair(A, B)), ubar))
+        raise SeparationError(
+            f"quadrature round-off check: defect {defect:.3e}")
+    return QMatrix._adopt(qmul(qmul(u, _unpair(top[:, :n], top[:, n:])),
+                               ubar))
 
 
 def riesz_projection(T: QMatrix, contour: Contour,
@@ -416,7 +408,17 @@ def riesz_projection(T: QMatrix, contour: Contour,
     """P = (1/2pi) Int ds_m S_R^-1(s, T): the right calculus with f = 1."""
     if not T.is_square:
         raise ValueError("projection requires a square matrix")
-    return _quadrature(lambda s: 1.0, "right", T, contour, spectrum)
+    return _quadrature(lambda s: 1.0, T, contour, spectrum)
+
+
+def _hat(f):
+    """fhat(q) = conj(f(conj(q))), numbers coerced as in the quadrature."""
+    def fhat(q: Quaternion) -> Quaternion:
+        v = f(q.conjugate())
+        if not isinstance(v, Quaternion):
+            v = Quaternion.from_complex(complex(v))
+        return v.conjugate()
+    return fhat
 
 
 def func_calc(f, side: str, T: QMatrix, contour: Contour,
@@ -424,23 +426,28 @@ def func_calc(f, side: str, T: QMatrix, contour: Contour,
     """Quadrature of the quaternionic functional calculus.
 
     ``f`` maps Quaternion -> Quaternion (numbers are coerced).  ``side`` is
-    "left" for (1/2pi) Int S_L^-1(s,T) ds_m f(s) and "right" for
-    (1/2pi) Int f(s) ds_m S_R^-1(s,T).  On ``build_contour(spheres)`` of the
-    whole spectrum the contour is one circle of 64 nodes (more when T's
-    total multiplicity is larger, see the quadrature), and f must be
-    slice-regular on its whole disc.  When the quadrature's check refuses f
-    on a contour that winds once around every sphere of T, the calculus is
-    taken over one circle (pair) per sphere instead, as ``build_contour``
-    draws them for a split; when it refuses those too, or a contour that
-    leaves spheres out, ``RegularityError`` propagates.  For an f singular
-    near the spectrum, build the contour with its singular points in
-    ``other``.
+    "left" for (1/2pi) Int S_L^-1(s,T) ds_m f(s) and "right" for (1/2pi)
+    Int f(s) ds_m S_R^-1(s,T).  The left calculus is taken as the adjoint
+    of the right one of fhat(q) = conj(f(conj(q))) on T*, exactly for the
+    sums too: each node's partner is its exact conjugate with the conjugate
+    weight.  On ``build_contour(spheres)`` of the whole spectrum the
+    contour is one circle of 64 nodes (more when T's total multiplicity is
+    larger, see the quadrature), and f must be slice-regular on its whole
+    disc.  When the quadrature's check refuses f on a contour that winds
+    once around every sphere of T, the calculus is taken over one circle
+    (pair) per sphere instead, as ``build_contour`` draws them for a split;
+    when it refuses those too, or a contour that leaves spheres out,
+    ``RegularityError`` propagates.  For an f singular near the spectrum,
+    build the contour with its singular points in ``other``.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
+    if side == "left":
+        return func_calc(_hat(f), "right", T.adjoint(), contour,
+                         spectrum).adjoint()
     spec = spherical_spectrum(T) if spectrum is None else spectrum
     try:
-        return _quadrature(f, side, T, contour, spec)
+        return _quadrature(f, T, contour, spec)
     except RegularityError:
         if any(contour.winding(s) != 1 for s in spec.spheres):
             raise
@@ -450,20 +457,13 @@ def func_calc(f, side: str, T: QMatrix, contour: Contour,
     _log.debug("func_calc: f is not regular on the disc of %d circles; "
                "%d circles of the spheres instead", len(contour.circles),
                len(split.circles))
-    return _quadrature(f, side, T, split, spec)
+    return _quadrature(f, T, split, spec)
 
 
 def calc_adjoint_check(f, T: QMatrix, contour: Contour) -> float:
     """Residual ||f(T)* - fhat(T*)|| with fhat(q) = conj(f(conj(q)))."""
     lhs = func_calc(f, "left", T, contour).adjoint()
-
-    def fhat(q: Quaternion) -> Quaternion:
-        v = f(q.conjugate())
-        if not isinstance(v, Quaternion):
-            v = Quaternion.from_complex(complex(v))
-        return v.conjugate()
-
-    rhs = func_calc(fhat, "left", T.adjoint(), contour)
+    rhs = func_calc(_hat(f), "left", T.adjoint(), contour)
     return op_norm(lhs - rhs)
 
 

@@ -1,4 +1,4 @@
-"""Spherical spectrum, point spectrum and the S-resolvent operators.
+"""Spherical spectrum and the S-resolvent operators.
 
 Both S-resolvents come from one LU inverse of chi(T') - z (``s_resolvent``),
 so they are conditioned as chi(T') - z, not as its square chi(Delta_s).
@@ -22,7 +22,6 @@ __all__ = [
     "SpectrumProximityError",
     "delta",
     "spherical_spectrum",
-    "point_spectrum",
     "s_resolvent",
     "hausdorff_distance",
 ]
@@ -85,12 +84,12 @@ def _chi_eigenvalues(T: QMatrix) -> np.ndarray:
     return np.concatenate([w, w.conj()])
 
 
-def spherical_spectrum(T: QMatrix, tol: float = 1e-9) -> SphericalSpectrum:
+def spherical_spectrum(T: QMatrix) -> SphericalSpectrum:
     """Spheres where Delta_q(T) fails to be invertible.
 
     Computed from the eigenvalues of chi(T), which come in conjugate pairs:
     each pair is one quaternionic eigenvalue.  ``circularize`` groups them
-    into spheres at ``tol * max(||T||, 1)`` and places every chi eigenvalue
+    into spheres at ``1e-9 * max(||T||, 1)`` and places every chi eigenvalue
     once, at the sphere nearest its (re, |im|); a sphere's quaternionic
     multiplicity is half its count.  A pair that jitter splits between two
     spheres (defective T) leaves both with an odd count; the extra half
@@ -104,7 +103,7 @@ def spherical_spectrum(T: QMatrix, tol: float = 1e-9) -> SphericalSpectrum:
         raise ValueError("spectrum requires a square matrix")
     scale = norm_scale(T)
     eigs = _chi_eigenvalues(T)
-    spheres, home = circularize(eigs, tol * scale)
+    spheres, home = circularize(eigs, 1e-9 * scale)
     count = np.bincount(home, minlength=len(spheres))
     lean = np.bincount(home, weights=np.sign(eigs.imag),
                        minlength=len(spheres))
@@ -123,19 +122,6 @@ def _delta_singular_values(T: QMatrix, spheres) -> list[np.ndarray]:
     T2 = T @ T
     return [np.linalg.svd(chi(_delta_of_square(T, T2, slice_embed(sp))),
                           compute_uv=False) for sp in spheres]
-
-
-def point_spectrum(T: QMatrix, tol: float = 1e-8) -> SphericalSpectrum:
-    """Spheres where Delta_q(T) has nontrivial kernel, with dim_H of the kernel."""
-    spec = spherical_spectrum(T)
-    scale = norm_scale(T)
-    spheres, dims = [], []
-    for sp, sv in zip(spec.spheres, _delta_singular_values(T, spec.spheres)):
-        kdim = int(np.count_nonzero(sv <= tol * scale ** 2)) // 2  # over H
-        if kdim > 0:
-            spheres.append(sp)
-            dims.append(kdim)
-    return SphericalSpectrum(tuple(spheres), tuple(dims))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -12,12 +13,20 @@ from hypothesis import given, settings, strategies as st
 from quatcalc import cli
 from quatcalc import qmatrix as qm
 from quatcalc.cli import main
-from quatcalc.qmatrix import QMatrix, op_norm
+from quatcalc.qmatrix import QMatrix, chi, chi_inv, op_norm
 from quatcalc.quaternion import Quaternion
+from quatcalc.spectrum import spherical_spectrum
 
 
 def _write_matrix(path, T: QMatrix):
     path.write_text(json.dumps(T.to_json()))
+
+
+def _src_env():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ,
+            "PYTHONPATH": src + (os.pathsep + path if path else "")}
 
 
 @pytest.fixture
@@ -259,15 +268,75 @@ def test_tolerance_flags_only_where_used(diag_ij3):
 
 
 def test_python_dash_m_runs_the_cli():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ,
-           "PYTHONPATH": src + (os.pathsep + path if path else "")}
     done = subprocess.run(
         [sys.executable, "-m", "quatcalc", "verify", "--suites", "polar"],
-        env=env, capture_output=True, text=True, timeout=120)
+        env=_src_env(), capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["passed"]
+
+
+def test_closed_stdout_exits_0(monkeypatch):
+    """A reader that stops early (quatcalc ... | head -1) is no error: exit
+    0, nothing on stderr, and stdout now goes to os.devnull."""
+    r, w = os.pipe()
+
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return w
+
+    err = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    monkeypatch.setattr(sys, "stderr", err)
+    try:
+        assert main(["examples", "--n", "12"]) == 0
+        assert os.path.samestat(os.fstat(w), os.stat(os.devnull))
+    finally:
+        os.close(r)
+        os.close(w)
+    assert err.getvalue() == ""
+
+
+def test_closed_stdout_exits_0_in_a_child():
+    """The read end closes before the child has imported numpy, so its first
+    write meets a closed pipe; shutdown prints no "Exception ignored"."""
+    child = subprocess.Popen(
+        [sys.executable, "-m", "quatcalc", "examples", "--n", "12",
+         "--which", "normal", "--full"],
+        env=_src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    child.stdout.close()
+    try:
+        err = child.stderr.read()
+        assert child.wait(timeout=120) == 0
+    finally:
+        child.stderr.close()
+        if child.poll() is None:
+            child.kill()
+            child.wait()
+    assert err == b""
+
+
+@pytest.mark.parametrize("k", [4, 6])
+def test_riesz_round_off_refusal_is_a_separation_error(k, tmp_path, capsys):
+    """T = G J_k(0.5 + 0.3i) G^-1 is a valid input whose quadrature around
+    its first sphere fails the round-off check (defect 2.2e9 at k = 4,
+    2.0e11 at k = 6): exit 4, naming the defect, not 2."""
+    rng = np.random.default_rng(0)
+    G = chi(QMatrix(rng.standard_normal((k, k, 4)) / np.sqrt(k))
+            + QMatrix.eye(k) * 2.0)
+    J = QMatrix.from_complex((0.5 + 0.3j) * np.eye(k) + np.eye(k, k=1))
+    T = chi_inv(G @ chi(J) @ np.linalg.inv(G), tol=1e-10)
+    p = tmp_path / "T.json"
+    _write_matrix(p, T)
+    s = spherical_spectrum(T).spheres[0]
+    assert main(["riesz", "--input", str(p),
+                 "--partition", f"{s.re!r},{s.rad!r}"]) == 4
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(
+        "separation error: quadrature round-off check: defect ")
 
 
 # report-shaped values: what the writer must reproduce byte for byte

@@ -12,7 +12,6 @@ from quatcalc.spectrum import (
     SpectrumProximityError,
     _chi_eigenvalues,
     delta,
-    point_spectrum,
     s_resolvent,
     spherical_spectrum,
 )
@@ -59,14 +58,6 @@ def test_delta_singular_exactly_on_spectrum():
     D = delta(T, Quaternion(7.0, 1.0, 0, 0))
     sv = np.linalg.svd(chi(D), compute_uv=False)
     assert sv[-1] > 1.0
-
-
-def test_point_spectrum_kernel_dimensions():
-    T = QMatrix.diag([Quaternion(0, 0, 1, 0), Quaternion(0, 1, 0, 0),
-                      Quaternion(3, 0, 0, 0)])
-    ps = point_spectrum(T)
-    assert ps.multiplicity_of(Sphere(0, 1)) == 2
-    assert ps.multiplicity_of(Sphere(3, 0)) == 1
 
 
 def test_resolvent_identities(rng):
