@@ -16,7 +16,7 @@ import os
 import sys
 
 from .quaternion import Sphere
-from .qmatrix import QMatrix, norm_scale, op_norm
+from .qmatrix import QMatrix, _normality_defect, norm_scale
 from .spectrum import (SpectrumProximityError, _delta_singular_values,
                        spherical_spectrum)
 from .scalculus import riesz_decompose, SeparationError, PartitionError
@@ -35,6 +35,10 @@ _RIESZ_TOLS = ("riesz-step", "riesz-restricted")
 # largest --sweep bound: volterra_norm(4096) holds three n x n float64
 # tables (the weights, their scaled copy, the Gram matrix), 384 MiB
 SWEEP_MAX_N = 4096
+
+# largest --n: paper_example(which, n) peaks near 320 n^2 bytes
+# (tracemalloc), 720 MiB at n = 1536; --full's report about doubles that
+EXAMPLES_MAX_N = 1536
 
 
 class CliInputError(Exception):
@@ -165,7 +169,7 @@ def _tol_overrides(args) -> dict:
     for name in default_tolerances():
         val = getattr(args, "tol_" + name.replace("-", "_"), None)
         if val is not None:
-            if val <= 0:
+            if not val > 0:  # nan too
                 raise CliInputError(f"--tol-{name} must be positive")
             out[name] = val
     return out
@@ -194,7 +198,7 @@ def cmd_riesz(args) -> int:
     step_keys = ["idempotent_sigma", "commute_sigma"]
     # self-adjointness of the projection is an invariant for normal T only
     scale = norm_scale(T)
-    if op_norm(T @ T.adjoint() - T.adjoint() @ T) <= 1e-10 * scale ** 2:
+    if _normality_defect(T) <= 1e-10 * scale ** 2:
         step_keys.append("self_adjoint_sigma")
     ok = (max(pair.residuals[k] for k in step_keys) <= tols["riesz-step"]
           and max(pair.residuals["spectrum_sigma_hausdorff"],
@@ -245,6 +249,8 @@ def cmd_examples(args) -> int:
         return EXIT_OK
     if args.n is None:
         raise CliInputError("--n is required without --sweep")
+    if args.n > EXAMPLES_MAX_N:
+        raise CliInputError(f"--n {args.n} is above {EXAMPLES_MAX_N}")
     try:
         bundle = paper_example(args.which or "normal", args.n)
     except ValueError as e:
@@ -306,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
                     default=None,
                     help="worked example (default: normal; not with --sweep)")
     sp.add_argument("--n", type=int, default=None,
-                    help="grid size (multiple of 3)")
+                    help=f"grid size (multiple of 3, <= {EXAMPLES_MAX_N})")
     sp.add_argument("--sweep", default=None,
                     help="Volterra norm sweep over n = a, 2a, ... <= b, "
                          f"b <= {SWEEP_MAX_N} (CSV output; not with --which, "
@@ -348,10 +354,7 @@ def main(argv=None) -> int:
     except PartitionError as e:
         print(f"partition error: {e}", file=sys.stderr)
         return EXIT_PARTITION
-    except SeparationError as e:
-        print(f"separation error: {e}", file=sys.stderr)
-        return EXIT_SEPARATION
-    except SpectrumProximityError as e:
+    except (SeparationError, SpectrumProximityError) as e:
         print(f"separation error: {e}", file=sys.stderr)
         return EXIT_SEPARATION
     except ValueError as e:

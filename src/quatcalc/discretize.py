@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .quaternion import Quaternion, _coerce
-from .qmatrix import QMatrix, _matrix_norm, op_norm
+from .qmatrix import QMatrix, _matrix_norm, _normality_defect, op_norm
 
 __all__ = [
     "grid_points",
@@ -129,7 +129,7 @@ class ExampleBundle:
         return op_norm(self.T - (self.W + self.K) @ self.S)
 
     def normality_defect(self) -> float:
-        return op_norm(self.T @ self.T.adjoint() - self.T.adjoint() @ self.T)
+        return _normality_defect(self.T)
 
 
 def paper_example(which: str, n: int) -> ExampleBundle:

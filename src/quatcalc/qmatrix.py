@@ -408,6 +408,11 @@ def norm_scale(T: QMatrix) -> float:
     return max(op_norm(T), 1.0)
 
 
+def _normality_defect(T: QMatrix) -> float:
+    """||TT* - T*T||, the one normality measure of the package."""
+    return op_norm(T @ T.adjoint() - T.adjoint() @ T)
+
+
 def positive_sqrt(T: QMatrix) -> QMatrix:
     """Unique positive square root of a positive operator.
 
@@ -500,17 +505,17 @@ def normal_eigensystem(T: QMatrix) -> tuple[np.ndarray, QMatrix]:
 
     Returns ``(lam, U)`` where ``lam`` is a complex array of eigenvalues in
     the closed upper half plane of C_i and the columns of the unitary U are
-    quaternionic eigenvectors: T u_l = u_l * lam_l, for
-    max|chi(TT* - T*T)| <= 1e-8 max(||T||, 1)^2.
+    quaternionic eigenvectors: T u_l = u_l * lam_l.  T is normal when
+    ||TT* - T*T|| <= 1e-9 ||T||^2, a test that scales with T at every size.
     """
     if not T.is_square:
         raise ValueError("eigensystem requires a square matrix")
     n = T.rows
-    N = chi(T)
-    scale = norm_scale(T)
-    defect = np.abs(N @ N.conj().T - N.conj().T @ N).max(initial=0.0)
-    if defect > 1e-9 * scale ** 2 * 10:
+    scale = max(op_norm(T), 1e-300)
+    defect = _normality_defect(T)
+    if defect > 1e-10 * scale ** 2 * 10:
         raise ValueError(f"matrix is not normal (defect {defect:.3e})")
+    N = chi(T)
     # numpy has no Schur form; the only scipy.linalg call in the package,
     # imported here so that no hot path loads a second BLAS library
     import scipy.linalg
@@ -543,18 +548,13 @@ class CartesianParts:
 def cartesian(T: QMatrix) -> CartesianParts:
     """Cartesian decomposition of a normal operator.
 
-    T is normal when ||T*T - TT*|| <= 1e-9 ||T||^2.  J is the phase of
-    T - T* on the complement of its kernel; on the kernel it acts as right
-    multiplication by i in the Schur-adapted eigenbasis (a deterministic
-    but non-unique completion).
+    T must pass the normality test of ``normal_eigensystem``.  J is the
+    phase of T - T* on the complement of its kernel; on the kernel it acts
+    as right multiplication by i in the Schur-adapted eigenbasis (a
+    deterministic but non-unique completion).
     """
     if not T.is_square:
         raise ValueError("cartesian decomposition requires a square matrix")
-    scale = max(op_norm(T), 1e-300)
-    defect = op_norm(T.adjoint() @ T - T @ T.adjoint())
-    if defect > 1e-10 * scale ** 2 * 10:
-        raise ValueError(f"cartesian decomposition requires a normal operator "
-                         f"(defect {defect:.3e})")
     lam, U = normal_eigensystem(T)
     A = 0.5 * (T + T.adjoint())
     Uc = chi(U)

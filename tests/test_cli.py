@@ -213,6 +213,22 @@ def test_examples_sweep_refuses_a_bound_above_the_cap(monkeypatch, capsys):
     assert cli._parse_sweep(f"64:{cli.SWEEP_MAX_N}")[-1] == cli.SWEEP_MAX_N
 
 
+def test_examples_refuses_a_grid_above_the_cap(monkeypatch, capsys):
+    """--n is checked before anything is built: an oversized grid exits 2
+    and never reaches paper_example."""
+    def refuse(which, n):
+        raise AssertionError(f"paper_example({which!r}, {n}) called")
+
+    monkeypatch.setattr(cli, "paper_example", refuse)
+    for n in (cli.EXAMPLES_MAX_N + 3, 6000):
+        assert main(["examples", "--n", str(n)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(cli.EXAMPLES_MAX_N) in captured.err
+    with pytest.raises(AssertionError, match="called"):
+        main(["examples", "--n", str(cli.EXAMPLES_MAX_N)])
+
+
 def test_verify_subset_and_determinism(tmp_path):
     out1 = tmp_path / "v1.json"
     out2 = tmp_path / "v2.json"
@@ -236,9 +252,15 @@ def test_verify_tol_override_forces_failure(tmp_path):
     assert report["passed"] is False
 
 
-def test_tol_must_be_positive(diag_ij3):
-    assert main(["verify", "--suites", "polar",
-                 "--tol-polar-residual", "-1"]) == 2
+@pytest.mark.parametrize("value", ["-1", "0", "nan"])
+def test_tol_must_be_positive(diag_ij3, value, capsys):
+    for argv in (["verify", "--suites", "polar", "--tol-polar-residual"],
+                 ["riesz", "--input", str(diag_ij3), "--partition", "0,1",
+                  "--tol-riesz-step"]):
+        assert main(argv + [value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be positive" in captured.err
 
 
 def test_riesz_partition_with_negative_real_part(tmp_path):

@@ -357,6 +357,27 @@ def test_cartesian_rejects_nonnormal(rng):
         cartesian(QMatrix(ent))
 
 
+@pytest.mark.parametrize("s", [1.0, 1e-3, 1e-5])
+def test_normality_test_is_scale_invariant(rng, s):
+    """Normality is judged relative to ||T||^2 at every size: a small
+    non-normal matrix is refused and a small normal one is decomposed."""
+    ent = np.zeros((2, 2, 4))
+    ent[0, 0] = (0.0, 0.5, 0.0, 0.0)
+    ent[0, 1] = (1.0, 0.0, 0.0, 0.0)
+    bad = s * QMatrix(ent)
+    for decompose in (normal_eigensystem, cartesian):
+        with pytest.raises(ValueError, match="not normal"):
+            decompose(bad)
+    N = s * _random_normal(rng, [Quaternion(1, 2, 0, 0), Quaternion(0, 0, 1, 0),
+                                 Quaternion(-2, 0, 0, 0.5)])
+    tol = 1e-9 * op_norm(N)
+    lam, U = normal_eigensystem(N)
+    D = QMatrix.diag([Quaternion(z.real, z.imag, 0, 0) for z in lam])
+    assert op_norm(U @ D @ U.adjoint() - N) <= tol
+    parts = cartesian(N)
+    assert op_norm(parts.A + 0.5 * (parts.J @ parts.B) - N) <= tol
+
+
 def _random_J(rng, n):
     W, _ = polar(rand_q(rng, (n, n)) + QMatrix.real_scalar(n, 3.0))
     return W @ QMatrix.diag([Quaternion(0, 1, 0, 0)] * n) @ W.adjoint()
