@@ -2,8 +2,9 @@
 
 Subcommands: ``spectrum``, ``riesz``, ``examples``, ``verify``.
 Exit codes: 0 success or a reader that closed stdout, 1 invariant failure,
-2 input error, 3 partition error, 4 separation error or a quadrature that
-fails its round-off check.  All reports are JSON (CSV for sweeps) and are
+2 input error, 3 partition error, 4 separation error, a quadrature that
+fails its round-off check or a LAPACK routine that fails on a valid input
+(numpy's ``LinAlgError``).  All reports are JSON (CSV for sweeps) and are
 byte-identical for a fixed seed and configuration.
 """
 
@@ -14,6 +15,8 @@ import json
 import math
 import os
 import sys
+
+from numpy.linalg import LinAlgError
 
 from .quaternion import Sphere
 from .qmatrix import QMatrix, _normality_defect, norm_scale
@@ -32,8 +35,10 @@ EXIT_SEPARATION = 4
 # the tolerances the riesz command gates its report on
 _RIESZ_TOLS = ("riesz-step", "riesz-restricted")
 
-# largest --sweep bound: volterra_norm(4096) holds three n x n float64
-# tables (the weights, their scaled copy, the Gram matrix), 384 MiB
+# largest --sweep bound: volterra_norm(4096) holds two n x n float64
+# tables (the weights, then their scaled copy), 256 MiB, on the Perron
+# path; a matrix that falls back forms an n x n Gram matrix in its place
+# and pays an O(n^3) eigensolve, and each doubling of n quadruples both
 SWEEP_MAX_N = 4096
 
 # largest --n: paper_example(which, n) peaks near 320 n^2 bytes
@@ -356,6 +361,9 @@ def main(argv=None) -> int:
         return EXIT_PARTITION
     except (SeparationError, SpectrumProximityError) as e:
         print(f"separation error: {e}", file=sys.stderr)
+        return EXIT_SEPARATION
+    except LinAlgError as e:  # a ValueError, but not the input's fault
+        print(f"numerical error: LAPACK failed: {e}", file=sys.stderr)
         return EXIT_SEPARATION
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)

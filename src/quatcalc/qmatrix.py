@@ -19,12 +19,14 @@ Slice-valued T, whose entries all lie in one slice C_u (at most one of the
 three imaginary components is nonzero anywhere), take a shortcut: chi(T) is
 unitarily similar to Z (+) conj(Z), where Z = w + i*c_u is n x m (real when
 T is real; Zhang, "Quaternions and matrices of quaternions", LAA 1997).
-``op_norm`` (the largest eigenvalue of a Gram matrix) and the spectrum
-factor Z, which has a quarter of the entries of chi(T).
+``op_norm`` (the largest eigenvalue of a Gram matrix, by products alone
+when Z is real and nonnegative) and the spectrum factor Z, which has a
+quarter of the entries of chi(T).
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -52,6 +54,14 @@ __all__ = [
     "normal_eigensystem",
     "gram_schmidt",
 ]
+
+_log = logging.getLogger("quatcalc")
+
+# the Perron path of _matrix_norm: the Collatz-Wielandt bracket on
+# lambda_max(X^T X) must close to this relative width (so sigma_max is
+# certified to 8 eps) within this many products X^T (X v)
+_PERRON_TOL = 16 * np.finfo(float).eps
+_PERRON_CAP = 64
 
 
 class QMatrix:
@@ -328,17 +338,59 @@ def _norm_matrix(T: QMatrix) -> np.ndarray:
     return chi(T) if Z is None else Z
 
 
+def _perron_lambda(X: np.ndarray) -> tuple[float | None, str]:
+    """(lambda_max(X^T X), "") of a real X >= 0, or (None, why not).
+
+    For G = X^T X >= 0 and v > 0 the Collatz-Wielandt bounds give
+    min_i (Gv)_i / v_i <= lambda_max <= max_i (Gv)_i / v_i (Horn-Johnson,
+    Matrix Analysis, 8.1).  v <- G v runs from v = ones, G never formed,
+    until that bracket's relative width is at most ``_PERRON_TOL``; the
+    Rayleigh value |Xv|^2 / |v|^2, a v_i^2-weighted mean of the ratios, lies
+    inside it.  None on a zero row of G, or when the bracket's mean
+    contraction per product says it cannot close within ``_PERRON_CAP``
+    products.
+    """
+    if X.shape[0] < X.shape[1]:
+        X = X.T  # the Gram matrix of the smaller side, as in the eigensolve
+    v = np.ones(X.shape[1])
+    for k in range(1, _PERRON_CAP + 1):
+        w = X @ v
+        g = X.T @ w
+        if not g.min() > 0.0:
+            return None, "a zero row of the Gram matrix"
+        ratios = g / v
+        hi = ratios.max()
+        width = float((hi - ratios.min()) / hi)
+        if width <= _PERRON_TOL:
+            _log.debug("norm: Perron bracket closed after %d products, "
+                       "width %.2e", k, width)
+            return float(w @ w) / float(v @ v), ""
+        if k == 1:
+            first = width
+        elif not (width * (width / first) ** ((_PERRON_CAP - k) / (k - 1))
+                  <= _PERRON_TOL):  # nan (an underflowed v_i) falls back too
+            return None, f"bracket width {width:.2e} after {k} products"
+        v = g / g.max()
+    return None, f"bracket width {width:.2e} after {_PERRON_CAP} products"
+
+
 def _matrix_norm(M: np.ndarray) -> float:
     """Largest singular value of a nonempty real or complex matrix M.
 
     With s = max|M| and X = M / s, sigma_max = s * sqrt(lambda_max(G)) for
-    the Hermitian Gram matrix G = X* X (X X* when M has fewer rows than
-    columns), found by one ``eigvalsh``.  Scaling to unit entries keeps G
-    clear of overflow and underflow (a subnormal s is first raised by
-    2^600, exactly, since a complex M / s would overflow).  By Weyl's
-    inequality the computed lambda_max is off by about
-    eps * ||G|| = eps * ||X||^2, so sigma_max keeps full relative accuracy.
-    A zero or non-finite s is returned as it is.
+    the Gram matrix G = X* X (X X* when M has fewer rows than columns).
+    Scaling to unit entries keeps G clear of overflow and underflow (a
+    subnormal s is first raised by 2^600, exactly, since a complex M / s
+    would overflow).  A zero or non-finite s is returned as it is.
+
+    A real X >= 0 first tries ``_perron_lambda``: matrix-vector products
+    only, with lambda_max certified by a Collatz-Wielandt bracket of
+    relative width 16 eps (``_PERRON_TOL``), so sigma_max to 8 eps.  Any
+    other X, and one whose bracket cannot close within ``_PERRON_CAP`` = 64
+    products, forms G and takes lambda_max from one ``eigvalsh``; by Weyl's
+    inequality that is off by about eps * ||G|| = eps * ||X||^2, so
+    sigma_max keeps full relative accuracy there too.  The "quatcalc"
+    logger says at DEBUG which path ran and why.
     """
     s = float(np.abs(M).max())
     if s == 0.0 or not math.isfinite(s):
@@ -350,10 +402,19 @@ def _matrix_norm(M: np.ndarray) -> float:
         s = float(np.abs(M).max())
     X = M / s
     del M
-    G = X.conj().T @ X if X.shape[0] >= X.shape[1] else X @ X.conj().T
-    del X
-    return math.ldexp(
-        s * math.sqrt(max(float(np.linalg.eigvalsh(G)[-1]), 0.0)), -shift)
+    lam = None
+    if np.iscomplexobj(X):
+        reason = "complex entries"
+    elif X.min() < 0.0:
+        reason = "a negative entry"
+    else:
+        lam, reason = _perron_lambda(X)
+    if lam is None:
+        _log.debug("norm: %d x %d Gram eigensolve (%s)", *X.shape, reason)
+        G = X.conj().T @ X if X.shape[0] >= X.shape[1] else X @ X.conj().T
+        del X
+        lam = max(float(np.linalg.eigvalsh(G)[-1]), 0.0)
+    return math.ldexp(s * math.sqrt(lam), -shift)
 
 
 def op_norm(T: QMatrix) -> float:
@@ -363,9 +424,12 @@ def op_norm(T: QMatrix) -> float:
     unitarily similar to Z (+) conj(Z)) and chi(T) otherwise; the shared
     core ``_matrix_norm`` takes sigma_max(M) from the largest eigenvalue of
     the Gram matrix of M scaled to unit entries, which keeps full relative
-    accuracy.  Callers that need the smallest singular value (Delta_q
-    at a sphere, kernel and range bases) must keep an SVD: the Gram matrix
-    squares its condition number.  A non-finite entry raises ``ValueError``.
+    accuracy: for a real M >= 0 from a Collatz-Wielandt bracket of
+    relative width 16 eps closed within 64 matrix-vector products, else
+    (or when that bracket cannot close) from one ``eigvalsh``.  Callers
+    that need the smallest singular value (Delta_q at a sphere, kernel and
+    range bases) must keep an SVD: the Gram matrix squares its condition
+    number.  A non-finite entry raises ``ValueError``.
     The norm is computed at most once per matrix and kept on it (the
     entries are read-only, see ``QMatrix``), so the callers that each need
     ||T|| of one T (``norm_scale``, the spectrum, the quadrature's proximity
@@ -377,7 +441,7 @@ def op_norm(T: QMatrix) -> float:
     if T.rows == 0 or T.cols == 0:
         return 0.0
     with np.errstate(invalid="ignore"):  # inf * 1j; reported below
-        # no local keeps M, so _matrix_norm frees it before forming G
+        # no local keeps M, so _matrix_norm frees it once it has X = M / s
         norm = _matrix_norm(_norm_matrix(T))
     if not math.isfinite(norm) and not np.isfinite(T.entries).all():
         r, c = np.argwhere(~np.isfinite(T.entries))[0][:2]

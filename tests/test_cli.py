@@ -75,6 +75,21 @@ def test_spectrum_rejects_malformed_json(tmp_path):
     assert main(["spectrum", "--input", str(p)]) == 2
 
 
+def test_spectrum_exits_4_when_lapack_fails(diag_ij3, monkeypatch, capsys):
+    """A LAPACK routine that does not converge on a valid input is a
+    numerical refusal (exit 4), not an input error, although numpy's
+    ``LinAlgError`` is a ``ValueError``."""
+    def fail(M):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    assert main(["spectrum", "--input", str(diag_ij3)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("numerical error: LAPACK failed: Eigenvalues did "
+                            "not converge\n")
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_spectrum_rejects_non_finite_entry(tmp_path, capsys, bad):
     e = np.eye(2)[..., None] * np.array([1.0, 0, 0, 0])
@@ -167,18 +182,18 @@ def test_examples_sweep_csv(tmp_path):
 
 
 def test_examples_sweep_to_1024_matches_closed_form(tmp_path):
-    """End to end: each swept Volterra norm is cot(pi/4n)/(4n) to 1e-13, and
-    the CSV has the bytes it had when the sweep built ``volterra_op(n)``."""
+    """End to end: each swept Volterra norm is cot(pi/4n)/(4n) to 1e-15, and
+    the CSV has the bytes of the Perron path's norms."""
     out = tmp_path / "sweep.csv"
     assert main(["examples", "--sweep", "64:1024", "--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "ee05714d670fa0a7a9bdead7b10818143ec4332ac47e36860208a5647f85a98c")
+        "9bb42a4c2e47ff308d55d54b5533d4bba8cc3c3e7f991b3d6ad7b2b2f62546df")
     rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
     ns = [int(r[0]) for r in rows]
     assert ns == [64, 128, 256, 512, 1024]
     for n, r in zip(ns, rows):
         exact = 1.0 / (4 * n * np.tan(np.pi / (4 * n)))
-        assert abs(float(r[1]) - exact) <= 1e-13 * exact
+        assert abs(float(r[1]) - exact) <= 1e-15 * exact
 
 
 def test_examples_bad_sweep():

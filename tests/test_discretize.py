@@ -147,14 +147,15 @@ def test_rank_one_kernels_match_kernel_op_bitwise(n):
 
 
 # sha256 prefixes of the T, W, K, S entry bytes and of repr(diagnostics),
-# recorded before the builders shared one assembler
+# recorded before the builders shared one assembler; the normal n = 12 and
+# n = 96 diagnostics since norm_K, of a rank-one K >= 0, takes the Perron path
 _EXAMPLE_BYTES = {
     ("normal", 3): ("8d2a12c6fece2d2e", "83e6ebdd69ce84ab", "231c7805350ca373",
                     "07a1a91affa909bf", "0e850a5964cb4d05"),
     ("normal", 12): ("7b0c0207e8259c55", "f3f1a8e5e38d1836", "98c13fd279e73d92",
-                     "5883ffdc3cae67ef", "0af86925c84b996c"),
+                     "5883ffdc3cae67ef", "f58c037b96a5cf20"),
     ("normal", 96): ("0d99875e167b8b66", "74bc6073fbfe395e", "809ace56fa46e29c",
-                     "9d77031d47f6e069", "a943b0234180e899"),
+                     "9d77031d47f6e069", "d0295049106cc976"),
     ("nonnormal", 3): ("4d1344413ebd7fa9", "83e6ebdd69ce84ab",
                        "efb7fb719f8a694f", "07a1a91affa909bf",
                        "aedb2eacaa2b6a15"),
@@ -295,13 +296,26 @@ def test_volterra_norm_equals_op_norm_of_volterra_op_bitwise(n):
 
 
 def test_volterra_norm_peak_memory_is_below_one_entries_array():
-    """The norm from the real weights holds at most three real n x n arrays
-    at once (the weights, their scaled copy, the Gram matrix; traced by
-    tracemalloc), below the 4 n^2 doubles of the quaternion entries that
-    ``volterra_op`` would build."""
+    """The norm from the real weights holds at most two real n x n arrays
+    at once (the weights and their scaled copy; traced by tracemalloc), half
+    the 4 n^2 doubles of the quaternion entries that ``volterra_op`` would
+    build: the Perron path forms no Gram matrix."""
     volterra_norm(8)   # first calls load lazy numpy modules
     peak = _traced_peak(lambda: volterra_norm(512))
-    assert peak <= 3.2 * 512 * 512 * 8
+    assert peak <= 2.2 * 512 * 512 * 8
+
+
+@pytest.mark.parametrize("n", [64, 1024, 2048])
+def test_volterra_norm_needs_no_eigensolver(n, monkeypatch):
+    """The weights are real and nonnegative, so their Collatz-Wielandt
+    bracket closes and no ``eigvalsh`` runs; the norm is cot(pi/4n)/(4n)
+    to 1e-15."""
+    def refuse(G):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    exact = 1.0 / (4 * n * np.tan(np.pi / (4 * n)))
+    assert abs(volterra_norm(n) - exact) <= 1e-15 * exact
 
 
 def test_grid_builders_make_read_only_c_contiguous_entries():

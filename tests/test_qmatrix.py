@@ -1,3 +1,4 @@
+import logging
 import math
 import os
 import subprocess
@@ -14,6 +15,7 @@ from quatcalc.scalculus import build_contour, riesz_projection
 from quatcalc.spectrum import s_resolvent, spherical_spectrum
 from quatcalc.qmatrix import (
     QMatrix,
+    _matrix_norm,
     _slice_matrix,
     cartesian,
     chi,
@@ -214,6 +216,97 @@ def test_op_norm_rejects_non_finite_entries(bad, parts):
     e[1, 2, parts - 1] = bad
     with pytest.raises(ValueError, match=r"non-finite entry .* at \(1, 2\)"):
         op_norm(QMatrix(e))
+
+
+def _nonnegative(kind, r, c, rng):
+    M = rng.random((r, c))
+    if kind == "rank one":
+        M = np.outer(rng.random(r), rng.random(c))
+    elif kind == "zero lines":
+        M[rng.random(r) < 0.3] = 0.0
+        M[:, rng.random(c) < 0.3] = 0.0
+    elif kind == "diagonal":
+        M = np.zeros((r, c))
+        np.fill_diagonal(M, rng.random(min(r, c)))
+    elif kind == "blocks":   # reducible: two diagonal blocks
+        k = int(rng.integers(0, min(r, c) + 1))
+        M[:k, k:] = 0.0
+        M[k:, :k] = 0.0
+    return M
+
+
+@settings(max_examples=200, deadline=None)
+@example(kind="dense", r=1, c=1, seed=0, scale=1.0)
+@example(kind="dense", r=24, c=24, seed=0, scale=2.0 ** -1060)
+@given(kind=st.sampled_from(["dense", "rank one", "zero lines", "diagonal",
+                             "blocks"]),
+       r=st.integers(1, 24), c=st.integers(1, 24),
+       seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.sampled_from([1.0, 1e300, 1e-300, 2.0 ** -1060]))
+def test_matrix_norm_of_nonnegative_real_matrices_matches_svd(kind, r, c,
+                                                              seed, scale):
+    """Tall, wide, rank-one, reducible, zero-line and diagonal M >= 0, near
+    overflow and in the subnormals: the Perron path (or, where its bracket
+    cannot close, the eigensolve) gives sigma_max to 8 eps."""
+    M = _nonnegative(kind, r, c, np.random.default_rng(seed)) * scale
+    ref = float(np.linalg.svd(M, compute_uv=False)[0])
+    assert abs(_matrix_norm(M) - ref) <= 8 * np.finfo(float).eps * ref
+
+
+def _counting_eigvalsh(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(G):
+        calls.append(G.shape)
+        return eigvalsh(G)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+@pytest.mark.parametrize("M, bits", [
+    (np.diag([0.3, 0.7, 0.5]), "0x1.6666666666666p-1"),
+    (np.array([[1.0, 0.0, 2.0], [3.0, 0.0, 4.0], [5.0, 0.0, 6.0]]),
+     "0x1.30d10b51174fbp+3"),
+], ids=["diagonal", "zero column"])
+def test_matrix_norm_falls_back_to_one_eigensolve(M, bits, monkeypatch):
+    """A bracket that cannot close (diagonal) or a zero row of the Gram
+    matrix sends M >= 0 to the Gram eigensolve, with the bits it gave
+    before the Perron path existed."""
+    calls = _counting_eigvalsh(monkeypatch)
+    assert _matrix_norm(M).hex() == bits
+    assert calls == [(3, 3)]
+
+
+def test_normal_example_norm_falls_back_after_few_products(monkeypatch,
+                                                           caplog):
+    """The "normal" example's T >= 0 contracts its bracket by about 0.9 per
+    product: it pays two products, then one eigensolve, same bits."""
+    from quatcalc.discretize import paper_example
+
+    T = QMatrix(paper_example("normal", 96).T.entries)  # no cached norm
+    calls = _counting_eigvalsh(monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="quatcalc"):
+        assert op_norm(T).hex() == "0x1.505e48d2667e3p-2"
+    assert calls == [(96, 96)]
+    assert "after 2 products" in caplog.text
+
+
+@pytest.mark.parametrize("M, message", [
+    (np.eye(2) * 3.0, "Perron bracket closed after 1 products, width 0.00e+00"),
+    (np.eye(2) * 1j, "2 x 2 Gram eigensolve (complex entries)"),
+    (np.array([[1.0, -1.0], [0.5, 2.0]]), "Gram eigensolve (a negative entry)"),
+    (np.array([[1.0, 0.0], [2.0, 0.0]]),
+     "Gram eigensolve (a zero row of the Gram matrix)"),
+    (np.diag([1.0, 0.5]), "Gram eigensolve (bracket width 7.50e-01 after 2 "
+                          "products)"),
+], ids=["closed", "complex", "negative", "zero column", "no contraction"])
+def test_matrix_norm_logs_its_path(M, message, caplog):
+    with caplog.at_level(logging.DEBUG, logger="quatcalc"):
+        _matrix_norm(M)
+    assert [r.name for r in caplog.records] == ["quatcalc"]
+    assert message in caplog.text
 
 
 @settings(max_examples=120, deadline=None)
