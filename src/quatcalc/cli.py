@@ -3,9 +3,10 @@
 Subcommands: ``spectrum``, ``riesz``, ``examples``, ``verify``.
 Exit codes: 0 success or a reader that closed stdout, 1 invariant failure,
 2 input error, 3 partition error, 4 separation error, a quadrature that
-fails its round-off check or a LAPACK routine that fails on a valid input
-(numpy's ``LinAlgError``).  All reports are JSON (CSV for sweeps) and are
-byte-identical for a fixed seed and configuration.
+fails its round-off check, a LAPACK routine that fails on a valid input
+(numpy's ``LinAlgError``) or an intermediate result that overflows on a
+finite input (``OverflowError``).  All reports are JSON (CSV for sweeps)
+and are byte-identical for a fixed seed and configuration.
 """
 
 from __future__ import annotations
@@ -364,6 +365,9 @@ def main(argv=None) -> int:
         return EXIT_SEPARATION
     except LinAlgError as e:  # a ValueError, but not the input's fault
         print(f"numerical error: LAPACK failed: {e}", file=sys.stderr)
+        return EXIT_SEPARATION
+    except OverflowError as e:  # a finite input whose intermediates overflow
+        print(f"numerical error: {e}", file=sys.stderr)
         return EXIT_SEPARATION
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)

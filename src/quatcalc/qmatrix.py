@@ -19,9 +19,11 @@ Slice-valued T, whose entries all lie in one slice C_u (at most one of the
 three imaginary components is nonzero anywhere), take a shortcut: chi(T) is
 unitarily similar to Z (+) conj(Z), where Z = w + i*c_u is n x m (real when
 T is real; Zhang, "Quaternions and matrices of quaternions", LAA 1997).
-``op_norm`` (the largest eigenvalue of a Gram matrix, by products alone
-when Z is real and nonnegative) and the spectrum factor Z, which has a
-quarter of the entries of chi(T).
+Z has a quarter of the entries of chi(T).  Two operands in one slice (a
+real one lies in every slice) multiply as one complex GEMM of their Z;
+``op_norm`` takes the largest eigenvalue of a Gram matrix of Z (of the real
+C when Z = iC, by products alone when that table is real and
+nonnegative), and the spectrum factors Z.
 """
 
 from __future__ import annotations
@@ -186,6 +188,10 @@ class QMatrix:
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in quaternion matmul")
+        u = _slice_unit(self.entries)
+        v = None if u is None else _slice_unit(other.entries)
+        if v is not None and (u == v or not u or not v):
+            return _slice_product(self.entries, other.entries, u or v)
         A1, B1 = _pair(self.entries)
         A2, B2 = _pair(other.entries)
         return QMatrix._adopt(_unpair(A1 @ A2 - B1 @ B2.conj(),
@@ -245,6 +251,39 @@ def _unpair(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     e[..., 0], e[..., 1] = A.real, A.imag
     e[..., 2], e[..., 3] = B.real, B.imag
     return e
+
+
+def _slice_unit(e: np.ndarray) -> int | None:
+    """The one imaginary component u in 1..3 used by entries e, 0 if e is
+    real, None if two or more are nonzero anywhere (exact, no tolerance).
+
+    Every entry then lies in the slice C_u, a commutative copy of C.
+    """
+    unit = 0
+    for u in (1, 2, 3):
+        if e[..., u].any():
+            if unit:
+                return None
+            unit = u
+    return unit
+
+
+def _slice_product(e1: np.ndarray, e2: np.ndarray, u: int) -> QMatrix:
+    """The product of two operands whose entries lie in C_u (u = 0: both
+    real), as one complex GEMM of their slice matrices w + i*c_u.
+
+    A real operand lies in every slice.  The result's components outside
+    0 and u are +0.0.  Real operands go through the complex GEMM too, as
+    in the pair rule, whose A is the same array, so no other BLAS kernel
+    is loaded; the imaginary part of a real product is exactly zero.
+    """
+    k = u or 1
+    P = (e1[..., 0] + 1j * e1[..., k]) @ (e2[..., 0] + 1j * e2[..., k])
+    e = np.zeros((*P.shape, 4))
+    e[..., 0] = P.real
+    if u:
+        e[..., u] = P.imag
+    return QMatrix._adopt(e)
 
 
 def chi(T: QMatrix) -> np.ndarray:
@@ -320,22 +359,26 @@ def _slice_matrix(T: QMatrix) -> np.ndarray | None:
     """The n x m matrix Z with chi(T) unitarily similar to Z (+) conj(Z), or None.
 
     Z exists when at most one imaginary component u of the entries is
-    nonzero anywhere (an exact test, no tolerance): it is the real part w
-    when T is real and w + i*c_u when every entry lies in the slice C_u.
+    nonzero anywhere (``_slice_unit``): it is the real part w when T is
+    real and w + i*c_u when every entry lies in the slice C_u.
     """
     e = T.entries
-    used = [u for u in (1, 2, 3) if e[..., u].any()]
-    if len(used) > 1:
+    u = _slice_unit(e)
+    if u is None:
         return None
-    if not used:
-        return e[..., 0]
-    return e[..., 0] + 1j * e[..., used[0]]
+    return e[..., 0] + 1j * e[..., u] if u else e[..., 0]
 
 
 def _norm_matrix(T: QMatrix) -> np.ndarray:
-    """``_slice_matrix(T)`` when T is slice-valued, else chi(T)."""
+    """A matrix whose largest singular value is ||T||: the slice matrix Z
+    of slice-valued T, its real table C when Z = iC (chi(T) is then
+    unitarily similar to iC (+) -iC), and chi(T) otherwise."""
     Z = _slice_matrix(T)
-    return chi(T) if Z is None else Z
+    if Z is None:
+        return chi(T)
+    if np.iscomplexobj(Z) and not Z.real.any():
+        return Z.imag
+    return Z
 
 
 def _perron_lambda(X: np.ndarray) -> tuple[float | None, str]:
@@ -421,9 +464,10 @@ def op_norm(T: QMatrix) -> float:
     """Operator norm sup{|Tx| : |x| <= 1} = largest singular value of chi(T).
 
     M is the n x m ``_slice_matrix`` Z for slice-valued T (chi(T) is
-    unitarily similar to Z (+) conj(Z)) and chi(T) otherwise; the shared
-    core ``_matrix_norm`` takes sigma_max(M) from the largest eigenvalue of
-    the Gram matrix of M scaled to unit entries, which keeps full relative
+    unitarily similar to Z (+) conj(Z)), the real C when Z = iC, and chi(T)
+    otherwise (``_norm_matrix``); the shared core ``_matrix_norm`` takes
+    sigma_max(M) from the largest eigenvalue of the Gram matrix of M
+    scaled to unit entries, which keeps full relative
     accuracy: for a real M >= 0 from a Collatz-Wielandt bracket of
     relative width 16 eps closed within 64 matrix-vector products, else
     (or when that bracket cannot close) from one ``eigvalsh``.  Callers
@@ -473,8 +517,19 @@ def norm_scale(T: QMatrix) -> float:
 
 
 def _normality_defect(T: QMatrix) -> float:
-    """||TT* - T*T||, the one normality measure of the package."""
-    return op_norm(T @ T.adjoint() - T.adjoint() @ T)
+    """||TT* - T*T||, the one normality measure of the package.
+
+    A finite T whose products overflow raises ``OverflowError``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        D = T @ T.adjoint() - T.adjoint() @ T
+    try:
+        return op_norm(D)
+    except ValueError:  # a non-finite entry of D
+        if np.isfinite(T.entries).all():
+            raise OverflowError(
+                "the normality defect TT* - T*T overflows") from None
+        raise
 
 
 def positive_sqrt(T: QMatrix) -> QMatrix:

@@ -233,6 +233,10 @@ def _slice_rotor(m: ImaginaryUnit) -> np.ndarray:
 
 # complex entries per block of circularize's point-to-sphere distance table
 _CIRCULARIZE_BLOCK = 1 << 18
+# circularize filters a re-window of more kept spheres than this by rad with
+# one array test before it measures distances one by one; below it the
+# array calls cost more than the scan they save
+_CIRCULARIZE_SCAN = 16
 
 
 def circularize(points, tol: float = 1e-9) -> tuple[list[Sphere], np.ndarray]:
@@ -240,21 +244,40 @@ def circularize(points, tol: float = 1e-9) -> tuple[list[Sphere], np.ndarray]:
 
     A point z and its conjugate sweep the same sphere (re z, |im z|).
     Points are visited in (re, |im|) order and a point opens a new sphere
-    unless it lies within ``tol`` of a kept one, so the spheres come back
-    sorted.  ``labels[k]`` is the index of the sphere nearest point k.
+    unless it lies within ``tol`` >= 0 of a kept one, so the spheres come
+    back sorted.  ``labels[k]`` is the index of the sphere nearest point k.
+
+    The scan skips a point equal to the one before it (a conjugate pair
+    folds to one point), whose verdict is that point's.  It measures a
+    point's distance only to the kept spheres whose re is within 2 tol of
+    its own and, when more than ``_CIRCULARIZE_SCAN`` of them are, only to
+    those whose rad is too: every other one is farther than tol.
     """
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
     pts = np.fromiter(points, dtype=complex)
     re, rad = pts.real, np.abs(pts.imag)
     order = np.lexsort((rad, re))
     spheres: list[Sphere] = []
-    kept_re = np.empty(pts.size)  # nondecreasing: points arrive sorted by re
+    # nondecreasing kept_re: points arrive sorted by re
+    kept_re, kept_rad = np.empty(pts.size), np.empty(pts.size)
+    last = None
     for r, m in zip(re[order].tolist(), rad[order].tolist()):
-        cand = Sphere(r, m)
+        if (r, m) == last:
+            continue
+        last = (r, m)
+        k = len(spheres)
         # a kept sphere within tol has re >= r - tol; the window is taken at
         # 2 tol so that rounding in r - tol cannot leave such a sphere out
-        lo = int(np.searchsorted(kept_re[:len(spheres)], r - 2.0 * tol))
-        if all(cand.distance(s) > tol for s in reversed(spheres[lo:])):
-            kept_re[len(spheres)] = r
+        lo = int(np.searchsorted(kept_re[:k], r - 2.0 * tol))
+        near = range(k - 1, lo - 1, -1)
+        if k - lo > _CIRCULARIZE_SCAN:  # many spheres share this re
+            # "not > 2 tol" keeps a nan rad in, to be measured as before
+            near = (lo + np.flatnonzero(
+                ~(np.abs(kept_rad[lo:k] - m) > 2.0 * tol))).tolist()
+        cand = Sphere(r, m)
+        if all(cand.distance(spheres[i]) > tol for i in near):
+            kept_re[k], kept_rad[k] = r, m
             spheres.append(cand)
     if not spheres:
         return spheres, np.zeros(0, dtype=np.intp)

@@ -6,6 +6,7 @@ so they are conditioned as chi(T') - z, not as its square chi(Delta_s).
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,8 @@ from .quaternion import (UNIT_I, ImaginaryUnit, Quaternion, Sphere,
 from .qmatrix import (QMatrix, _mirror_defect, _slice_matrix, _unpair, chi,
                       norm_scale)
 from .qmatrix import op_norm  # noqa: F401  (kept importable from this module)
+
+_log = logging.getLogger("quatcalc")
 
 __all__ = [
     "SphericalSpectrum",
@@ -76,11 +79,20 @@ def _delta_of_square(T: QMatrix, T2: QMatrix, q: Quaternion) -> QMatrix:
 
 
 def _chi_eigenvalues(T: QMatrix) -> np.ndarray:
-    """Eigenvalues of chi(T); eig(Z) and their conjugates for slice-valued T."""
+    """Eigenvalues of chi(T); eig(Z) and their conjugates for slice-valued T.
+
+    An exactly triangular Z (upper or lower; the test has no tolerance)
+    has its eigenvalues on its diagonal, exactly, and no eigensolver runs.
+    """
     Z = _slice_matrix(T)
     if Z is None:
         return np.linalg.eigvals(chi(T))
-    w = np.linalg.eigvals(Z)
+    if not (np.triu(Z, 1).any() and np.tril(Z, -1).any()):
+        _log.debug("spectrum: eigenvalues of a triangular %d x %d slice "
+                   "matrix read off its diagonal", *Z.shape)
+        w = np.diagonal(Z)
+    else:
+        w = np.linalg.eigvals(Z)
     return np.concatenate([w, w.conj()])
 
 
@@ -97,7 +109,9 @@ def spherical_spectrum(T: QMatrix) -> SphericalSpectrum:
     so the multiplicities sum to n, and a sphere left with none is
     dropped.  When every entry of T lies in one slice C_u, the eigenvalues
     of chi(T) are those of the n x n matrix Z = w + i*c_u and their
-    conjugates, so only Z is factored.
+    conjugates, so only Z is factored, and an exactly triangular Z (the
+    "nonnormal" paper example's) is not factored at all: its eigenvalues
+    are its diagonal.
     """
     if not T.is_square:
         raise ValueError("spectrum requires a square matrix")
@@ -118,10 +132,19 @@ def spherical_spectrum(T: QMatrix) -> SphericalSpectrum:
 def _delta_singular_values(T: QMatrix, spheres) -> list[np.ndarray]:
     """Singular values of chi(Delta_q(T)), q = slice_embed(sp), for each
     sphere sp, by SVD (a Gram matrix would square the conditioning of
-    sigma_min); T @ T is formed once for all of them."""
-    T2 = T @ T
-    return [np.linalg.svd(chi(_delta_of_square(T, T2, slice_embed(sp))),
-                          compute_uv=False) for sp in spheres]
+    sigma_min); T @ T is formed once for all of them.  A Delta_q(T) that
+    overflows for a finite T raises ``OverflowError``."""
+    out = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        T2 = T @ T
+        for sp in spheres:
+            D = _delta_of_square(T, T2, slice_embed(sp))
+            if not np.isfinite(D.entries).all():
+                raise OverflowError(
+                    f"Delta_q(T) = T^2 - 2 re(q) T + |q|^2 I overflows at "
+                    f"the sphere (re {sp.re!r}, rad {sp.rad!r})")
+            out.append(np.linalg.svd(chi(D), compute_uv=False))
+    return out
 
 
 @dataclass(frozen=True)

@@ -75,19 +75,53 @@ def test_spectrum_rejects_malformed_json(tmp_path):
     assert main(["spectrum", "--input", str(p)]) == 2
 
 
-def test_spectrum_exits_4_when_lapack_fails(diag_ij3, monkeypatch, capsys):
+def test_spectrum_exits_4_when_lapack_fails(tmp_path, monkeypatch, capsys):
     """A LAPACK routine that does not converge on a valid input is a
     numerical refusal (exit 4), not an input error, although numpy's
-    ``LinAlgError`` is a ``ValueError``."""
+    ``LinAlgError`` is a ``ValueError``.  The input is not triangular, so
+    its spectrum reaches the eigensolver."""
+    e = np.zeros((2, 2, 4))
+    e[..., 0] = [[0.0, 1.0], [1.0, 3.0]]
+    e[0, 0, 2] = 1.0
+    p = tmp_path / "T.json"
+    _write_matrix(p, QMatrix(e))
+
     def fail(M):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigvals", fail)
-    assert main(["spectrum", "--input", str(diag_ij3)]) == 4
+    assert main(["spectrum", "--input", str(p)]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("numerical error: LAPACK failed: Eigenvalues did "
                             "not converge\n")
+
+
+@pytest.fixture
+def overflowing(tmp_path):
+    """A finite input whose products overflow: [[1, 1e308], [0, 1e308]]."""
+    e = np.zeros((2, 2, 4))
+    e[..., 0] = [[1.0, 1e308], [0.0, 1e308]]
+    p = tmp_path / "T.json"
+    _write_matrix(p, QMatrix(e))
+    return p
+
+
+@pytest.mark.parametrize("argv, stage", [
+    (["spectrum"], "Delta_q(T) = T^2 - 2 re(q) T + |q|^2 I overflows at "
+                   "the sphere (re 1.0, rad 0.0)"),
+    (["riesz", "--partition", "1,0"],
+     "the normality defect TT* - T*T overflows"),
+], ids=["spectrum", "riesz"])
+def test_overflowing_products_of_a_finite_input_exit_4(overflowing, capsys,
+                                                        argv, stage):
+    """Products that overflow are a numerical refusal (exit 4) that names
+    the stage, not an input error about an internal matrix, and no numpy
+    warning reaches stderr (the suite turns warnings into errors)."""
+    assert main(argv + ["--input", str(overflowing)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"numerical error: {stage}\n"
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

@@ -148,7 +148,9 @@ def test_rank_one_kernels_match_kernel_op_bitwise(n):
 
 # sha256 prefixes of the T, W, K, S entry bytes and of repr(diagnostics),
 # recorded before the builders shared one assembler; the normal n = 12 and
-# n = 96 diagnostics since norm_K, of a rank-one K >= 0, takes the Perron path
+# n = 96 diagnostics since norm_K, of a rank-one K >= 0, takes the Perron path;
+# the nonnormal ones since products within one slice take one complex GEMM
+# and norm_K of K = (j/2)V reads the real table V/2
 _EXAMPLE_BYTES = {
     ("normal", 3): ("8d2a12c6fece2d2e", "83e6ebdd69ce84ab", "231c7805350ca373",
                     "07a1a91affa909bf", "0e850a5964cb4d05"),
@@ -158,13 +160,13 @@ _EXAMPLE_BYTES = {
                      "9d77031d47f6e069", "d0295049106cc976"),
     ("nonnormal", 3): ("4d1344413ebd7fa9", "83e6ebdd69ce84ab",
                        "efb7fb719f8a694f", "07a1a91affa909bf",
-                       "aedb2eacaa2b6a15"),
+                       "bf39d2ee46aa186b"),
     ("nonnormal", 12): ("1f9c973d42f33dc5", "f3f1a8e5e38d1836",
                         "cb4fb67a4ec6b540", "5883ffdc3cae67ef",
-                        "9e714a1521f3e0b3"),
+                        "f78264cb5bf4dfb9"),
     ("nonnormal", 96): ("3526cbc812c52628", "74bc6073fbfe395e",
                         "e3a23f48b81fccff", "9d77031d47f6e069",
-                        "eca664d4299b95e2"),
+                        "3cbbf3f12688abc2"),
 }
 
 
@@ -293,6 +295,14 @@ def test_volterra_op_norm_peak_memory_is_within_1_6_entries():
 @pytest.mark.parametrize("n", [1, 2, 3, 64, 96, 128, 256, 512, 1024])
 def test_volterra_norm_equals_op_norm_of_volterra_op_bitwise(n):
     assert volterra_norm(n).hex() == op_norm(volterra_op(n)).hex()
+
+
+@pytest.mark.parametrize("n", [3, 12, 96, 192])
+def test_nonnormal_norm_K_equals_volterra_norm_bitwise(n):
+    """K = (j/2)V has a zero real part, so its norm is that of the real table
+    V/2, which takes the Perron path as the Volterra weights do."""
+    assert (op_norm(paper_example("nonnormal", n).K).hex()
+            == volterra_norm(n).hex())
 
 
 def test_volterra_norm_peak_memory_is_below_one_entries_array():

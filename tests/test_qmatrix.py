@@ -16,7 +16,9 @@ from quatcalc.spectrum import s_resolvent, spherical_spectrum
 from quatcalc.qmatrix import (
     QMatrix,
     _matrix_norm,
+    _pair,
     _slice_matrix,
+    _unpair,
     cartesian,
     chi,
     chi_inv,
@@ -82,6 +84,56 @@ def test_matmul_and_apply_match_hamilton_contraction(r, k, c, seed):
     assert P.apply(v).shape == (r, 4)
     assert np.abs(P.apply(v) - ref_v).max() <= 1e-13 * k * \
         max(np.abs(ref_v).max(), 1.0)
+
+
+def _pair_rule(P: QMatrix, Q: QMatrix) -> np.ndarray:
+    """Reference product: the pair rule's four complex GEMMs on any operands."""
+    A1, B1 = _pair(P.entries)
+    A2, B2 = _pair(Q.entries)
+    return _unpair(A1 @ A2 - B1 @ B2.conj(), A1 @ B2 + B1 @ A2.conj())
+
+
+def _in_slice(rng, shape, u):
+    """A random matrix with entries in C_u (u = 0: real)."""
+    e = np.zeros(shape + (4,))
+    e[..., 0] = rng.standard_normal(shape)
+    if u:
+        e[..., u] = rng.standard_normal(shape)
+    return QMatrix(e)
+
+
+@pytest.mark.parametrize("u, v", [(0, 0), (1, 1), (2, 2), (3, 3), (0, 1),
+                                  (0, 2), (3, 0), (2, 0)])
+@pytest.mark.parametrize("r, k, c", [(1, 1, 1), (3, 5, 2), (12, 12, 12)])
+def test_slice_products_match_the_pair_rule(u, v, r, k, c):
+    """Operands in one slice C_w (a real one lies in every slice) multiply as
+    one complex GEMM: the pair rule's product to round-off, exactly when no
+    operand reaches j or k, and +0.0 outside components 0 and w."""
+    rng = np.random.default_rng(100 * u + 10 * v + r)
+    P, Q = _in_slice(rng, (r, k), u), _in_slice(rng, (k, c), v)
+    got = (P @ Q).entries
+    ref = _pair_rule(P, Q)
+    if not (u and v) or u == v == 1:
+        assert np.array_equal(got, ref)
+    else:
+        assert np.abs(got - ref).max() <= 1e-14 * k * np.abs(ref).max()
+    outside = [p for p in (1, 2, 3) if p != (u or v)]
+    assert (got[..., outside] == 0.0).all()
+    assert not np.signbit(got[..., outside]).any()
+
+
+@pytest.mark.parametrize("u, v", [(1, 2), (2, 3), (3, 1), (0, 4), (4, 2),
+                                  (4, 4)])
+def test_products_across_slices_keep_the_pair_rule_bits(u, v):
+    """C_i x C_j and general operands (4: every component) take the pair
+    rule, bit for bit."""
+    rng = np.random.default_rng(10 * u + v)
+
+    def operand(shape, w):
+        return rand_q(rng, shape) if w == 4 else _in_slice(rng, shape, w)
+
+    P, Q = operand((6, 7), u), operand((7, 5), v)
+    assert (P @ Q).entries.tobytes() == _pair_rule(P, Q).tobytes()
 
 
 def _chi_norm(T: QMatrix) -> float:

@@ -144,6 +144,72 @@ def test_circularize_matches_pairwise_scan(base, offsets, log_tol):
     assert sym_labels.tolist() == 2 * labels.tolist()
 
 
+def _circularize_window_scan(points, tol):
+    """Reference: ``circularize`` before it skipped repeated points and
+    filtered wide re-windows by rad; every kept sphere in the re-window of a
+    point is measured."""
+    pts = np.fromiter(points, dtype=complex)
+    re, rad = pts.real, np.abs(pts.imag)
+    order = np.lexsort((rad, re))
+    spheres: list[Sphere] = []
+    kept_re = np.empty(pts.size)
+    for r, m in zip(re[order].tolist(), rad[order].tolist()):
+        cand = Sphere(r, m)
+        lo = int(np.searchsorted(kept_re[:len(spheres)], r - 2.0 * tol))
+        if all(cand.distance(s) > tol for s in reversed(spheres[lo:])):
+            kept_re[len(spheres)] = r
+            spheres.append(cand)
+    if not spheres:
+        return spheres, np.zeros(0, dtype=np.intp)
+    centers = np.array([complex(s.re, s.rad) for s in spheres])
+    labels = np.abs((re + 1j * rad)[:, None] - centers).argmin(axis=1)
+    return spheres, labels
+
+
+def _many_spheres_at_one_re(n=384):
+    """The nonnormal paper example's eigenvalues: x 1[x <= 1/3] + i x/(4n)
+    and conjugates, so 2n/3 spheres share re = 0."""
+    x = (np.arange(n) + 0.5) / n
+    d = np.where(x <= 1.0 / 3.0, x, 0.0) + 1j * x / (4.0 * n)
+    return np.concatenate([d, d.conj()])
+
+
+def _circularize_cases():
+    rng = np.random.default_rng(12)
+    z = rng.standard_normal(60) + 1j * rng.standard_normal(60)
+    grid = (np.round(rng.standard_normal(200), 1)
+            + 1j * np.round(rng.standard_normal(200), 1))
+    return {
+        "random": (z, 1e-9),
+        "random, wide tol": (z, 0.3),
+        "exact duplicates": (np.repeat(z[:20], 3), 1e-9),
+        "conjugate pairs": (np.concatenate([z, z.conj()]), 1e-9),
+        "near conjugate pairs": (np.concatenate([z, z.conj() + 1e-12]), 1e-9),
+        "grid": (grid, 0.15),
+        "many spheres at one re": (_many_spheres_at_one_re(), 1e-9),
+        "many spheres at one re, wide tol": (_many_spheres_at_one_re(),
+                                             1e-4),
+        # every other rung lies 0.7 tol above a kept sphere: merged
+        "rad ladder at one re": (0.7e-3j * np.arange(100), 1e-3),
+    }
+
+
+@pytest.mark.parametrize("case", list(_circularize_cases()))
+def test_circularize_matches_the_window_scan(case):
+    points, tol = _circularize_cases()[case]
+    spheres, labels = circularize(points, tol)
+    ref_spheres, ref_labels = _circularize_window_scan(points, tol)
+    assert [(s.re, s.rad) for s in spheres] == \
+        [(s.re, s.rad) for s in ref_spheres]
+    assert labels.tolist() == ref_labels.tolist()
+
+
+@pytest.mark.parametrize("tol", [-1e-9, float("nan")])
+def test_circularize_refuses_a_negative_or_nan_tol(tol):
+    with pytest.raises(ValueError, match="tol must be >= 0"):
+        circularize([0.0, 1.0], tol)
+
+
 def test_imaginary_unit_validation():
     with pytest.raises(ValueError):
         ImaginaryUnit(1.0, 1.0, 0.0)

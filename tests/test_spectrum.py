@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -242,6 +243,12 @@ def test_real_spheres_use_half_multiplicity():
     assert spec.multiplicities == (3,)
 
 
+def _slice_valued(Z: np.ndarray, u: int) -> QMatrix:
+    e = np.zeros((*Z.shape, 4))
+    e[..., 0], e[..., u] = Z.real, Z.imag
+    return QMatrix(e)
+
+
 @pytest.mark.parametrize("u", [2, 3], ids=["C_j", "C_k"])
 @pytest.mark.parametrize("n", [1, 4, 9])
 def test_chi_eigenvalues_of_slice_valued_matrix(u, n):
@@ -250,15 +257,55 @@ def test_chi_eigenvalues_of_slice_valued_matrix(u, n):
     # distinct, well-separated diagonal plus a small coupling: well conditioned
     Z = np.diag(np.arange(n) + 1j * rng.uniform(-2, 2, n)) \
         + 0.1 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    e = np.zeros((n, n, 4))
-    e[..., 0], e[..., u] = Z.real, Z.imag
-    T = QMatrix(e)
+    T = _slice_valued(Z, u)
     got = _chi_eigenvalues(T)
     ref = np.linalg.eigvals(chi(T))
     assert got.shape == ref.shape == (2 * n,)
     dist = np.abs(got[:, None] - ref[None, :])
     rows, cols = linear_sum_assignment(dist)
     assert dist[rows, cols].max() <= 1e-12 * max(op_norm(T), 1.0)
+
+
+@pytest.mark.parametrize("u", [1, 2, 3], ids=["C_i", "C_j", "C_k"])
+@pytest.mark.parametrize("side", [np.triu, np.tril], ids=["upper", "lower"])
+def test_triangular_slice_matrix_spectrum_is_its_diagonal(u, side,
+                                                         monkeypatch, caplog):
+    """An exactly triangular Z gives its diagonal and the conjugates, with
+    no eigensolver, and the "quatcalc" logger says so at DEBUG."""
+    rng = np.random.default_rng(u)
+    n = 6
+    Z = side(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    d = np.diagonal(Z)
+
+    def fail(M):
+        raise AssertionError("eigvals called on a triangular slice matrix")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    T = _slice_valued(Z, u)
+    with caplog.at_level(logging.DEBUG, logger="quatcalc"):
+        w = _chi_eigenvalues(T)
+    assert w.tolist() == np.concatenate([d, d.conj()]).tolist()
+    assert "triangular 6 x 6 slice matrix" in caplog.text
+    spec = spherical_spectrum(T)
+    assert spec.spheres == tuple(Sphere(z.real, abs(z.imag))
+                                 for z in sorted(d, key=lambda z: z.real))
+    assert spec.multiplicities == (1,) * n
+
+
+def test_non_triangular_slice_matrix_calls_the_eigensolver(monkeypatch):
+    """One entry off the triangle sends Z to ``eigvals``."""
+    Z = np.tril(np.arange(1.0, 17.0).reshape(4, 4) + 0.5j)
+    Z[0, 3] = 1e-300
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def recording(M):
+        calls.append(M.shape)
+        return eigvals(M)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recording)
+    _chi_eigenvalues(_slice_valued(Z, 2))
+    assert calls == [(4, 4)]
 
 
 def test_nonnormal_example_spectrum_matches_closed_form():
