@@ -10,12 +10,12 @@ the corresponding eigenspace of the complex adjoint matrix is minimal
 returns a certificate: either the verified rank profile that precludes a
 commuting idempotent, or a witness idempotent E that passes one gate,
 ||E^2 - E|| and ||ET - TE|| / max(||T||, 1) at most ``_WITNESS_TOL``.
-The witness routes: "riesz", the Riesz projection onto one of several
-sphere groups; "eigenvector", E = v v* for a reducing eigenvector v; and
-"search", a brute-force idempotent search over the commutant for a split
-that is not orthogonal.  The search is a private oracle for n <= 6
-(``_ORACLE_MAX_N``): it works in all 4 n^2 real coordinates of X, so its
-cost grows as n^6.
+The witness routes: "riesz", the Riesz projection that splits the most
+isolated sphere off the rest of the spectrum; "eigenvector", E = v v* for
+a reducing eigenvector v; and "search", a brute-force idempotent search
+over the commutant for a split that is not orthogonal, a private oracle
+for n <= 6 (``_ORACLE_MAX_N``): it works in all 4 n^2 real coordinates of
+X, so its cost grows as n^6.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quaternion import Sphere, circularize
+from .quaternion import Sphere
 from .qmatrix import (QMatrix, chi, chi_inv, chi_vec_inv, extend, norm_scale,
                       op_norm)
 from .spectrum import spherical_spectrum, SphericalSpectrum
@@ -103,17 +103,19 @@ def _reducing_eigenvector(M: np.ndarray) -> QMatrix:
 def is_strongly_irreducible(T: QMatrix) -> StrongIrreducibilityReport:
     """Decide strong irreducibility and always produce a certificate.
 
-    Structural criterion (finite dimension): strongly irreducible iff the
-    spherical spectrum is one sphere and the chi eigenspace at its upper
-    representative lam is minimal (dimension 1 for a nonreal sphere, 2 for
-    a real one, i.e. a single Jordan chain), its singular values counted
-    at the cut ``_jitter_resolution``.  ``detail["route"]`` is "rank"
-    for the rank decision (``kernel_dim``, ``minimal_dim`` and the singular
-    values on either side of the cut) or the witness route.  "decomposable"
-    carries ``detail["residuals"]`` = {"idempotent", "commutes"}, both at
-    most ``_WITNESS_TOL``.  "indeterminate" carries ``detail["reason"]``:
-    a rank decision within a factor of 10 of the cut, or a witness above
-    the gate (with its residuals).
+    One witness rule comes first: with two or more spheres, sigma is the
+    sphere farthest from its nearest other sphere (ties towards the larger
+    re), tau the rest, and E the Riesz projection over build_contour(sigma,
+    tau).  E is refused when the quadrature raises ``ValueError``, when its
+    chi trace 2 sum_r Re E_rr does not round to 2 mult(sigma) (so E is
+    nontrivial), or by the gate; the decision then falls through to the
+    rank route: strongly irreducible iff every sphere lies within the cut
+    ``_jitter_resolution`` of their weighted mean lam and the chi eigenspace
+    at lam is minimal (one Jordan chain: dimension 1 for a nonreal sphere,
+    2 for a real one).  ``detail["route"]`` names the route, "rank" with
+    ``kernel_dim``, ``minimal_dim`` and the singular values either side of
+    the cut; "decomposable" carries ``detail["residuals"]`` (idempotent,
+    commutes), and "indeterminate" ``detail["reason"]``.
     """
     if not T.is_square:
         raise ValueError("strong irreducibility requires a square matrix")
@@ -131,40 +133,46 @@ def is_strongly_irreducible(T: QMatrix) -> StrongIrreducibilityReport:
         return report("indeterminate", dict(detail, residuals=res, reason=(
             f"witness residual above {_WITNESS_TOL:g}")))
 
-    # group spectrum spheres at the jitter resolution so that jitter is not
-    # mistaken for distinct spheres
-    cluster_tol = _jitter_resolution(scale, T.rows)
-    groups, labels = circularize(
-        [complex(s.re, s.rad) for s in spec.spheres], cluster_tol)
-    if not groups:
+    spheres, mults = spec.spheres, spec.multiplicities
+    if not spheres:
         return report("indeterminate", {
             "reason": "a 0 x 0 matrix has no spectrum to decide on"})
-    if len(groups) >= 2:
-        sigma = [s for s, g in zip(spec.spheres, labels) if g == 0]
-        tau = [s for s, g in zip(spec.spheres, labels) if g != 0]
-        E = riesz_projection(T, build_contour(sigma, tau), spec)
-        return certified(E, {"route": "riesz"})
+    if len(spheres) >= 2:
+        # split off the sphere farthest from its nearest other sphere;
+        # chi(E) then has trace 2 mult(sigma), strictly between 0 and 2n
+        gap = [min(s.distance(o) for o in spheres if o is not s)
+               for s in spheres]
+        k = max(range(len(spheres)), key=lambda r: (gap[r], spheres[r].re))
+        try:
+            E = riesz_projection(T, build_contour(
+                [spheres[k]], spheres[:k] + spheres[k + 1:]), spec)
+            chi_trace = 2 * np.trace(E.entries[..., 0])
+        except ValueError:
+            chi_trace = np.nan
+        if np.rint(chi_trace) == 2 * mults[k]:
+            rep = certified(E, {"route": "riesz"})
+            if rep.verdict == "decomposable":
+                return rep
 
-    mults = spec.multiplicities
+    # rank route at the jitter resolution: semisimple directions whose
+    # eigenvalue sits anywhere in the cluster are genuine kernel directions
+    cut = _jitter_resolution(scale, T.rows)
     sphere = Sphere(
-        sum(s.re * m for s, m in zip(spec.spheres, mults)) / sum(mults),
-        sum(s.rad * m for s, m in zip(spec.spheres, mults)) / sum(mults))
-    # Rank threshold at the jitter resolution: semisimple directions whose
-    # eigenvalue sits anywhere in the cluster are genuine kernel directions.
-    cut = cluster_tol
+        sum(s.re * m for s, m in zip(spheres, mults)) / sum(mults),
+        sum(s.rad * m for s, m in zip(spheres, mults)) / sum(mults))
     M = chi(T) - complex(sphere.re, sphere.rad) * np.eye(2 * T.rows)
     sv = np.linalg.svd(M, compute_uv=False)
     dim = int(np.count_nonzero(sv <= cut))
     kept = float(sv[sv > cut].min()) if dim < sv.size else np.inf
     rejected = float(sv[sv <= cut].max()) if dim else 0.0
-    minimal = 2 if sphere.rad <= cluster_tol else 1
+    minimal = 2 if sphere.rad <= cut else 1
     rank = {"route": "rank", "kernel_dim": dim, "minimal_dim": minimal,
             "smallest_kept_sv": kept, "largest_rejected_sv": rejected}
     if not (rejected <= 0.1 * cut and kept >= 10 * cut):
         return report("indeterminate", dict(
             rank, reason="a singular value within a factor of 10 of the cut"))
-    if dim < minimal:
-        # the cluster representative is not actually in the spectrum
+    if dim < minimal or max(s.distance(sphere) for s in spheres) > cut:
+        # a cluster wider than the cut, or its mean is not in the spectrum
         return report("indeterminate", dict(
             rank, reason="sphere cluster too wide for a rank decision"))
     if dim == minimal:

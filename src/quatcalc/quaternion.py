@@ -137,9 +137,6 @@ class Quaternion:
     def im_norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 
-    def is_close(self, other: "Quaternion", tol: float = 1e-12) -> bool:
-        return abs(self - other) <= tol
-
     def to_json(self) -> list:
         return [self.w, self.x, self.y, self.z]
 

@@ -52,12 +52,6 @@ class SphericalSpectrum:
     def total_multiplicity(self) -> int:
         return sum(self.multiplicities)
 
-    def multiplicity_of(self, s: Sphere, tol: float = 1e-8) -> int:
-        for sp, m in zip(self.spheres, self.multiplicities):
-            if sp.distance(s) <= tol:
-                return m
-        return 0
-
     def distance_to(self, s: Sphere) -> float:
         return min(s.distance(sp) for sp in self.spheres)
 

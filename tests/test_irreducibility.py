@@ -13,6 +13,7 @@ from quatcalc.discretize import paper_example
 from quatcalc.qmatrix import (QMatrix, chi, chi_inv, norm_scale, op_norm,
                               polar)
 from quatcalc.quaternion import Quaternion
+from quatcalc.scalculus import SeparationError
 from quatcalc.irreducibility import (
     _commutant,
     _find_idempotent,
@@ -159,16 +160,94 @@ def test_search_route_is_indeterminate_above_the_guard(monkeypatch):
     assert "limited to n <= 1" in rep.detail["reason"]
 
 
-@pytest.mark.parametrize("n", [12, 24])
-def test_uncertified_riesz_witness_is_indeterminate(n):
-    """The Riesz projection of the nonnormal example's first sphere is far
-    from idempotent (2.1e-6 at n = 12, 1.3e6 at n = 24): no verdict."""
-    rep = is_strongly_irreducible(paper_example("nonnormal", n).T)
+@pytest.mark.parametrize("n", [12, 48, 96])
+@pytest.mark.parametrize("which", ["normal", "nonnormal"])
+def test_most_isolated_sphere_is_a_certified_riesz_witness(which, n):
+    """Both paper operators split off the sphere farthest from its nearest
+    neighbour (ties towards the larger re); chi(E) has trace 2 mult."""
+    T = paper_example(which, n).T
+    rep = is_strongly_irreducible(T)
+    assert rep.verdict == "decomposable", rep.detail
+    assert rep.detail["route"] == "riesz"
+    assert max(rep.detail["residuals"].values()) <= 1e-12
+    spheres, mults = rep.spectrum.spheres, rep.spectrum.multiplicities
+    k = max(range(len(spheres)), key=lambda r: (min(
+        spheres[r].distance(o) for o in spheres if o is not spheres[r]),
+        spheres[r].re))
+    assert 0 < mults[k] < n
+    chi_trace = 2 * np.trace(rep.witness.entries[..., 0])
+    assert chi_trace == pytest.approx(2 * mults[k], abs=1e-9)
+
+
+def _riesz_idempotent_but_trivial(T, contour, spec):
+    return QMatrix.eye(T.rows)
+
+
+def _riesz_not_idempotent(T, contour, spec):
+    # chi trace 2 = 2 mult(sigma), but E^2 - E = -E/2 on its range
+    return QMatrix.diag([0.5, 0.5, 0.0])
+
+
+def _riesz_inseparable(T, contour, spec):
+    raise SeparationError("quadrature round-off check: defect 1.0e+00")
+
+
+@pytest.mark.parametrize("fake", [_riesz_idempotent_but_trivial,
+                                  _riesz_not_idempotent, _riesz_inseparable])
+def test_refused_riesz_witness_falls_through_to_the_rank_route(
+        monkeypatch, fake):
+    """An uncertified witness gives no verdict: a trivial one fails the
+    trace rule, a non-idempotent one the gate, and a quadrature that
+    raises is refused.  diag(0, 1, 2) then reaches the rank route, where
+    its mean sphere 1 has a minimal eigenspace: only the spread of the
+    spheres, wider than the jitter resolution, keeps it from "irreducible"."""
+    monkeypatch.setattr(irreducibility, "riesz_projection", fake)
+    rep = is_strongly_irreducible(QMatrix.diag([0.0, 1.0, 2.0]))
     assert rep.verdict == "indeterminate", rep.detail
     assert rep.witness is None
-    assert rep.detail["route"] == "riesz"
-    assert rep.detail["residuals"]["idempotent"] > 1e-6
-    assert "witness residual" in rep.detail["reason"]
+    assert rep.detail["route"] == "rank"
+    assert rep.detail["kernel_dim"] == rep.detail["minimal_dim"] == 2
+    assert rep.detail["reason"] == "sphere cluster too wide for a rank decision"
+
+
+def test_similar_jordan_blocks_are_never_decomposable():
+    """G J_k(0.5 + 0.3i) G^-1 is one Jordan block, so no verdict may be
+    "decomposable" and none may raise.  Its computed spheres spread by
+    about eps^(1/k); the verdicts are pinned per draw."""
+    rng = np.random.default_rng(1)
+    expected = {3: ["irreducible"] * 3,
+                4: ["indeterminate", "irreducible", "indeterminate"],
+                6: ["indeterminate"] * 3,
+                8: ["indeterminate"] * 3}
+    for k, want in expected.items():
+        Jc = chi(_jordan(0.5 + 0.3j, k))
+        got = []
+        for _ in want:
+            G = chi(QMatrix(rng.standard_normal((k, k, 4))))
+            T = chi_inv(G @ Jc @ np.linalg.inv(G), tol=1e-6)
+            got.append(is_strongly_irreducible(T).verdict)
+        assert got == want, k
+    for n in (8, 12):
+        assert is_strongly_irreducible(_jordan(0, n)).verdict == "irreducible"
+
+
+def _extreme_cases():
+    R = np.random.default_rng(0).standard_normal((4, 4, 4))
+    D = np.zeros((3, 3, 4))
+    D[[0, 1, 2], [0, 1, 2], 0] = [1.0, 2.0, 3.0]
+    return [("zero3", np.zeros((3, 3, 4)))] + [
+        (f"{name}*1e{e}", M * 10.0 ** e) for name, M in
+        (("random4", R), ("diag123", D)) for e in (150, -150, 300, -300)]
+
+
+@pytest.mark.parametrize("name, entries", _extreme_cases())
+def test_extreme_finite_inputs_get_a_certified_verdict(name, entries):
+    """The decision never raises on a finite input: the zero matrix and,
+    at 1e+-150 and 1e+-300, a random and a diagonal one with distinct
+    spheres are all decomposable, and the witness passes the gate."""
+    rep = is_strongly_irreducible(QMatrix(entries))
+    assert rep.verdict == "decomposable", rep.detail
+    assert max(rep.detail["residuals"].values()) <= 1e-6
 
 
 def test_orthogonally_split_jordan_structure_has_an_eigenvector_witness():
@@ -192,12 +271,17 @@ def test_irreducibility_suite_passes_at_seeds_57_and_77(seed):
 
 
 def test_eigenvector_witness_loads_no_scipy_linalg():
+    """The eigenvector and the Riesz witness run on numpy's BLAS only."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = ("import sys\n"
             "from quatcalc import QMatrix, Quaternion, is_strongly_irreducible\n"
+            "from quatcalc.discretize import paper_example\n"
             "i = Quaternion(0, 1, 0, 0)\n"
-            "rep = is_strongly_irreducible(QMatrix.diag([i, i, i]))\n"
-            "assert rep.verdict == 'decomposable', rep.detail\n"
+            "for T, route in ((QMatrix.diag([i, i, i]), 'eigenvector'),\n"
+            "                 (paper_example('nonnormal', 12).T, 'riesz')):\n"
+            "    rep = is_strongly_irreducible(T)\n"
+            "    assert rep.verdict == 'decomposable', rep.detail\n"
+            "    assert rep.detail['route'] == route, rep.detail\n"
             "assert 'scipy.linalg' not in sys.modules\n")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120,
@@ -220,8 +304,10 @@ def test_empty_input_is_indeterminate():
 
 
 def test_chained_spheres_split_at_the_nearest_leader():
-    """0.9 tau lies within tau of both 0 and 1.8 tau, but 1.8 tau is more
-    than tau from 0: the spheres form two groups, not one chain."""
+    """Spheres at 0, 0.9 tau and 1.8 tau, tau the jitter resolution at
+    n = 3: every sphere is 0.9 tau from its nearest neighbour, so the tie
+    goes to the largest re, and 1.8 tau splits off with a certified
+    Riesz witness."""
     tau = float(np.finfo(float).eps) ** 0.25  # cluster_tol at n = 3
     T = QMatrix.diag([Quaternion(x, 0, 0, 0) for x in (0.0, 0.9 * tau,
                                                          1.8 * tau)])

@@ -37,8 +37,9 @@ def test_spectrum_of_diagonal():
     spec = spherical_spectrum(T)
     assert spec.distance_to(Sphere(0.0, 1.0)) <= 1e-12
     assert spec.distance_to(Sphere(3.0, 0.0)) <= 1e-12
-    assert spec.multiplicity_of(Sphere(0, 1)) == 1
-    assert spec.multiplicity_of(Sphere(3, 0)) == 1
+    for want in (Sphere(0, 1), Sphere(3, 0)):
+        assert [m for sp, m in zip(spec.spheres, spec.multiplicities)
+                if sp.distance(want) <= 1e-8] == [1]
     assert spec.total_multiplicity() == 2
 
 
