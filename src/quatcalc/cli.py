@@ -17,6 +17,7 @@ import math
 import os
 import sys
 
+import numpy as np
 from numpy.linalg import LinAlgError
 
 from .quaternion import Sphere
@@ -62,9 +63,14 @@ def _load_matrix(path: str) -> QMatrix:
     except json.JSONDecodeError as e:
         raise CliInputError(f"malformed JSON in {path}: {e}")
     try:
-        return QMatrix.from_json(obj)
+        T = QMatrix.from_json(obj)
+        if not np.isfinite(T.entries).all():
+            r, c = np.argwhere(~np.isfinite(T.entries))[0][:2]
+            raise ValueError(f"non-finite entry {T.entries[r, c].tolist()} "
+                             f"at ({r}, {c})")
     except (KeyError, ValueError, TypeError) as e:
         raise CliInputError(f"invalid matrix in {path}: {e}")
+    return T
 
 
 def _emit(text: str, output: str | None) -> None:

@@ -147,8 +147,9 @@ def paper_example(which: str, n: int) -> ExampleBundle:
         raise ValueError("grid size must be a positive multiple of 3")
 
     x = grid_points(n)
-    W = mult_op(lambda t: 1.0 if t <= 1.0 / 3.0 else 0.0, n)
-    S = mult_op(lambda t: t, n)
+    cut = x <= 1.0 / 3.0  # real diagonals, without mult_op's Quaternions
+    W = QMatrix.real_scalar(n, cut.astype(float))
+    S = QMatrix.real_scalar(n, x)
 
     if which == "normal":
         K = _assemble(0.5 * x[:, None] * x, 1.0 / n)
@@ -163,7 +164,7 @@ def paper_example(which: str, n: int) -> ExampleBundle:
         norm_K_expected = 1.0 / math.pi
         norm_K_bound = 0.5
     # add W S = diag(1[x <= 1/3] x); rebinding frees the kernel part early
-    T = mult_op(lambda t: t if t <= 1.0 / 3.0 else 0.0, n) + T
+    T = QMatrix.real_scalar(n, np.where(cut, x, 0.0)) + T
 
     bundle = ExampleBundle(which, n, T, W, K, S)
     return replace(bundle, diagnostics={

@@ -137,7 +137,7 @@ class QMatrix:
         return QMatrix._adopt(e)
 
     @staticmethod
-    def real_scalar(n: int, value: float) -> "QMatrix":
+    def real_scalar(n: int, value: float | np.ndarray) -> "QMatrix":
         e = np.zeros((n, n, 4))
         e[np.arange(n), np.arange(n), 0] = value
         return QMatrix._adopt(e)
@@ -417,27 +417,28 @@ def _perron_lambda(X: np.ndarray) -> tuple[float | None, str]:
     return None, f"bracket width {width:.2e} after {_PERRON_CAP} products"
 
 
-def _matrix_norm(M: np.ndarray) -> float:
-    """Largest singular value of a nonempty real or complex matrix M.
+def _matrix_norm(M: np.ndarray, hermitian: bool = False) -> float:
+    """Largest singular value of a real or complex matrix M.
 
     With s = max|M| and X = M / s, sigma_max = s * sqrt(lambda_max(G)) for
     the Gram matrix G = X* X (X X* when M has fewer rows than columns).
     Scaling to unit entries keeps G clear of overflow and underflow (a
     subnormal s is first raised by 2^600, exactly, since a complex M / s
-    would overflow).  A zero or non-finite s is returned as it is.
+    would overflow).  A zero (M empty too) or non-finite s is returned.
 
-    A real X >= 0 first tries ``_perron_lambda``: matrix-vector products
-    only, with lambda_max certified by a Collatz-Wielandt bracket of
-    relative width 16 eps (``_PERRON_TOL``), so sigma_max to 8 eps.  Any
-    other X, and one whose bracket cannot close within ``_PERRON_CAP`` = 64
-    products, forms G and takes lambda_max from one ``eigvalsh``; by Weyl's
-    inequality that is off by about eps * ||G|| = eps * ||X||^2, so
-    sigma_max keeps full relative accuracy there too.  The "quatcalc"
-    logger says at DEBUG which path ran and why.
+    ``hermitian=True`` (self-adjoint M, lower triangle read) takes the
+    spectral radius s * max|lambda(X)| from one ``eigvalsh``, no Gram
+    product.  Otherwise a real X >= 0 first tries ``_perron_lambda``
+    (products only, sigma_max certified to 8 eps); any other X, or a bracket
+    that cannot close within ``_PERRON_CAP`` products, forms G for one
+    ``eigvalsh``.  By Weyl's inequality an eigensolve errs by about eps
+    times the norm of what it factors: full relative accuracy on every
+    route.  The "quatcalc" logger says at DEBUG which route ran and why.
     """
-    s = float(np.abs(M).max())
+    s = (float(np.abs(M).max(initial=0.0)) if np.iscomplexobj(M) else
+         max(float(M.max(initial=0.0)), -float(M.min(initial=0.0))))
     if s == 0.0 or not math.isfinite(s):
-        return s
+        return abs(s)  # +0.0 for an all -0.0 real M
     shift = 0
     if s < np.finfo(float).tiny:
         shift = 600
@@ -445,6 +446,9 @@ def _matrix_norm(M: np.ndarray) -> float:
         s = float(np.abs(M).max())
     X = M / s
     del M
+    if hermitian:
+        _log.debug("norm: %d x %d self-adjoint eigensolve", *X.shape)
+        return math.ldexp(s * np.abs(np.linalg.eigvalsh(X)).max(), -shift)
     lam = None
     if np.iscomplexobj(X):
         reason = "complex entries"
@@ -466,14 +470,15 @@ def op_norm(T: QMatrix) -> float:
     M is the n x m ``_slice_matrix`` Z for slice-valued T (chi(T) is
     unitarily similar to Z (+) conj(Z)), the real C when Z = iC, and chi(T)
     otherwise (``_norm_matrix``); the shared core ``_matrix_norm`` takes
-    sigma_max(M) from the largest eigenvalue of the Gram matrix of M
-    scaled to unit entries, which keeps full relative
-    accuracy: for a real M >= 0 from a Collatz-Wielandt bracket of
-    relative width 16 eps closed within 64 matrix-vector products, else
-    (or when that bracket cannot close) from one ``eigvalsh``.  Callers
-    that need the smallest singular value (Delta_q at a sphere, kernel and
-    range bases) must keep an SVD: the Gram matrix squares its condition
-    number.  A non-finite entry raises ``ValueError``.
+    sigma_max(M) from the largest eigenvalue of the Gram matrix of M scaled
+    to unit entries, which keeps full relative accuracy: for a real M >= 0
+    from a Collatz-Wielandt bracket of relative width 16 eps closed within
+    64 matrix-vector products, else (or when that bracket cannot close)
+    from one ``eigvalsh`` (the core's self-adjoint route serves
+    ``_normality_defect`` only).  Callers that need the smallest singular
+    value (Delta_q at a sphere, kernel and range bases) must keep an SVD:
+    the Gram matrix squares its condition number.  A non-finite entry
+    raises ``ValueError``.
     The norm is computed at most once per matrix and kept on it (the
     entries are read-only, see ``QMatrix``), so the callers that each need
     ||T|| of one T (``norm_scale``, the spectrum, the quadrature's proximity
@@ -482,8 +487,6 @@ def op_norm(T: QMatrix) -> float:
     norm = getattr(T, "_norm", None)
     if norm is not None:
         return norm
-    if T.rows == 0 or T.cols == 0:
-        return 0.0
     with np.errstate(invalid="ignore"):  # inf * 1j; reported below
         # no local keeps M, so _matrix_norm frees it once it has X = M / s
         norm = _matrix_norm(_norm_matrix(T))
@@ -516,20 +519,30 @@ def norm_scale(T: QMatrix) -> float:
     return max(op_norm(T), 1.0)
 
 
-def _normality_defect(T: QMatrix) -> float:
-    """||TT* - T*T||, the one normality measure of the package.
+def _defect_matrix(T: QMatrix) -> np.ndarray:
+    """Self-adjoint H with ||H|| = ||D||, D = TT* - T*T: ZZ* - Z*Z for
+    slice-valued T (chi(D) ~ H (+) conj H; ``_slice_product``'s complex GEMM
+    of contiguous Z and Z*), else chi(D), as ``_norm_matrix`` picks M."""
+    u = _slice_unit(T.entries)
+    if u is None:
+        return chi(T @ T.adjoint() - T.adjoint() @ T)
+    Z = T.entries[..., 0] + 1j * T.entries[..., u or 1]
+    Zs = np.ascontiguousarray(Z.conj().T)
+    H = Z @ Zs - Zs @ Z
+    return H if H.imag.any() else H.real
 
-    A finite T whose products overflow raises ``OverflowError``.
-    """
+
+def _normality_defect(T: QMatrix) -> float:
+    """||TT* - T*T||, the one normality measure of the package, by one
+    ``eigvalsh`` of ``_defect_matrix(T)`` (the core's self-adjoint route);
+    overflowing products of a finite T raise ``OverflowError``."""
     with np.errstate(over="ignore", invalid="ignore"):
-        D = T @ T.adjoint() - T.adjoint() @ T
-    try:
-        return op_norm(D)
-    except ValueError:  # a non-finite entry of D
-        if np.isfinite(T.entries).all():
-            raise OverflowError(
-                "the normality defect TT* - T*T overflows") from None
-        raise
+        # no local keeps H, so it is freed once _matrix_norm has X = H / s
+        defect = _matrix_norm(_defect_matrix(T), hermitian=True)
+    if not math.isfinite(defect):
+        op_norm(T)  # raises ValueError on a non-finite entry of T
+        raise OverflowError("the normality defect TT* - T*T overflows")
+    return defect
 
 
 def positive_sqrt(T: QMatrix) -> QMatrix:

@@ -134,6 +134,20 @@ def test_spectrum_rejects_non_finite_entry(tmp_path, capsys, bad):
     assert "non-finite entry" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_riesz_rejects_non_finite_entry(tmp_path, capsys, bad):
+    """The loader names the input file and the entry, before any stage."""
+    e = np.eye(2)[..., None] * np.array([1.0, 0, 0, 0])
+    e[0, 1, 2] = bad
+    p = tmp_path / "bad.json"
+    _write_matrix(p, QMatrix(e))
+    assert main(["riesz", "--input", str(p), "--partition", "1,0"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (f"error: invalid matrix in {p}: non-finite entry "
+                       f"[0.0, 0.0, {bad}, 0.0] at (0, 1)\n")
+
+
 def test_riesz_command(diag_ij3, tmp_path):
     out = tmp_path / "riesz.json"
     rc = main(["riesz", "--input", str(diag_ij3),
@@ -468,9 +482,9 @@ def test_riesz_request_computes_the_norm_of_T_once(tmp_path, monkeypatch):
     seen = []
     matrix_norm = qm._matrix_norm
 
-    def recording(M):
+    def recording(M, **route):
         seen.append(M.shape == M_T.shape and np.array_equal(M, M_T))
-        return matrix_norm(M)
+        return matrix_norm(M, **route)
 
     monkeypatch.setattr(qm, "_matrix_norm", recording)
     assert main(["riesz", "--input", str(p), "--partition", "3,0",

@@ -9,6 +9,7 @@ import pytest
 from quatcalc.qmatrix import QMatrix, norm_scale, op_norm
 from quatcalc.quaternion import Quaternion, Sphere
 from quatcalc.spectrum import spherical_spectrum
+from quatcalc.verify import _normal_example_commutator_norm
 from quatcalc.discretize import (
     ExampleBundle,
     grid_points,
@@ -150,23 +151,25 @@ def test_rank_one_kernels_match_kernel_op_bitwise(n):
 # recorded before the builders shared one assembler; the normal n = 12 and
 # n = 96 diagnostics since norm_K, of a rank-one K >= 0, takes the Perron path;
 # the nonnormal ones since products within one slice take one complex GEMM
-# and norm_K of K = (j/2)V reads the real table V/2
+# and norm_K of K = (j/2)V reads the real table V/2; normal n = 3 and the
+# nonnormal ones since the normality defect is the spectral radius of
+# ZZ* - Z*Z on the slice matrix Z (its last digits moved)
 _EXAMPLE_BYTES = {
     ("normal", 3): ("8d2a12c6fece2d2e", "83e6ebdd69ce84ab", "231c7805350ca373",
-                    "07a1a91affa909bf", "0e850a5964cb4d05"),
+                    "07a1a91affa909bf", "c97c18aae4065533"),
     ("normal", 12): ("7b0c0207e8259c55", "f3f1a8e5e38d1836", "98c13fd279e73d92",
                      "5883ffdc3cae67ef", "f58c037b96a5cf20"),
     ("normal", 96): ("0d99875e167b8b66", "74bc6073fbfe395e", "809ace56fa46e29c",
                      "9d77031d47f6e069", "d0295049106cc976"),
     ("nonnormal", 3): ("4d1344413ebd7fa9", "83e6ebdd69ce84ab",
                        "efb7fb719f8a694f", "07a1a91affa909bf",
-                       "bf39d2ee46aa186b"),
+                       "d5d46c092f441e4b"),
     ("nonnormal", 12): ("1f9c973d42f33dc5", "f3f1a8e5e38d1836",
                         "cb4fb67a4ec6b540", "5883ffdc3cae67ef",
-                        "f78264cb5bf4dfb9"),
+                        "06283e0c83891af1"),
     ("nonnormal", 96): ("3526cbc812c52628", "74bc6073fbfe395e",
                         "e3a23f48b81fccff", "9d77031d47f6e069",
-                        "3cbbf3f12688abc2"),
+                        "9f6af65ebde9d941"),
 }
 
 
@@ -179,6 +182,15 @@ def test_paper_example_bytes_are_unchanged(which, n):
     blobs.append(repr(b.diagnostics).encode())
     got = tuple(hashlib.sha256(blob).hexdigest()[:16] for blob in blobs)
     assert got == _EXAMPLE_BYTES[which, n]
+
+
+@pytest.mark.parametrize("n", [12, 96, 192])
+def test_normal_example_defect_matches_closed_form(n):
+    """The spectral radius of ZZ* - Z*Z on the real slice matrix agrees
+    with the closed-form ||[T, T*]|| of the rank <= 4 commutator."""
+    got = paper_example("normal", n).diagnostics["normality_defect"]
+    ref = _normal_example_commutator_norm(n)
+    assert abs(got - ref) <= 1e-14 * ref
 
 
 def test_normal_example_is_actually_nonnormal():

@@ -16,6 +16,7 @@ from quatcalc.spectrum import s_resolvent, spherical_spectrum
 from quatcalc.qmatrix import (
     QMatrix,
     _matrix_norm,
+    _normality_defect,
     _pair,
     _slice_matrix,
     _unpair,
@@ -500,6 +501,80 @@ def test_cartesian_rejects_nonnormal(rng):
     ent[0, 1] = np.array([1.0, 0, 0, 0])
     with pytest.raises(ValueError):
         cartesian(QMatrix(ent))
+
+
+# the imaginary components of each kind of T; "iC_j" has Z = iC, whose
+# ZZ* - Z*Z is exactly real
+_DEFECT_PARTS = {"real": [0], "C_i": [0, 1], "C_j": [0, 2], "C_k": [0, 3],
+                 "iC_j": [2], "general": [0, 1, 2, 3]}
+
+
+@settings(max_examples=120, deadline=None)
+@example(n=1, kind="general", scale=1.0, seed=0)
+@example(n=12, kind="C_j", scale=2.0 ** -1060, seed=1)
+@given(n=st.integers(1, 12), kind=st.sampled_from(sorted(_DEFECT_PARTS)),
+       scale=st.sampled_from([1.0, 1e150, 1e-150, 2.0 ** -1060]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_normality_defect_matches_svd_of_chi(n, kind, scale, seed):
+    """||TT* - T*T|| as a spectral radius (of ZZ* - Z*Z for slice-valued T)
+    against the largest singular value of chi(TT* - T*T).  The two round D
+    differently, by up to about n eps ||T||^2 when T is nearly normal."""
+    parts = _DEFECT_PARTS[kind]
+    e = np.zeros((n, n, 4))
+    e[..., parts] = np.random.default_rng(seed).standard_normal(
+        (n, n, len(parts)))
+    T = QMatrix(scale * e)
+    D = T @ T.adjoint() - T.adjoint() @ T
+    ref = np.linalg.svd(chi(D), compute_uv=False)[0]
+    eps = np.finfo(float).eps
+    assert abs(_normality_defect(T) - ref) <= 16 * n * eps * op_norm(T) ** 2
+
+
+@pytest.mark.parametrize("T", [QMatrix.zeros(0, 0), QMatrix.zeros(3, 3),
+                               QMatrix(np.full((2, 2, 4), -0.0))],
+                         ids=["empty", "zero", "negative zero"])
+def test_normality_defect_of_zero_and_empty_matrices(T):
+    assert _normality_defect(T).hex() == "0x0.0p+0"
+
+
+@pytest.mark.parametrize("parts", _DEFECT_PARTS.values(), ids=_DEFECT_PARTS)
+def test_normality_defect_refuses_overflow_and_non_finite_entries(parts):
+    e = np.zeros((2, 2, 4))
+    e[0, 1, parts] = 1e308
+    e[1, 1, parts] = 1e308
+    e[0, 0, 0] = 1.0
+    with pytest.raises(OverflowError, match="normality defect"):
+        _normality_defect(QMatrix(e))
+    e[1, 0, parts[-1]] = np.nan
+    with pytest.raises(ValueError, match="non-finite entry"):
+        _normality_defect(QMatrix(e))
+
+
+def _no_quaternion_algebra(*args):
+    raise AssertionError("quaternion adjoint or product called")
+
+
+@pytest.mark.parametrize("which, n, side", [
+    ("normal", 12, "12 x 12"), ("nonnormal", 12, "12 x 12"),
+    (None, 5, "10 x 10")], ids=["real", "C_j", "general"])
+def test_normality_defect_is_one_self_adjoint_eigensolve(which, n, side,
+                                                         monkeypatch, caplog):
+    """Slice-valued T never forms T* or a quaternion product: the defect is
+    one eigvalsh of the n x n ZZ* - Z*Z.  Other T take the 2n x 2n chi side."""
+    from quatcalc.discretize import paper_example
+
+    T = (paper_example(which, n).T if which
+         else rand_q(np.random.default_rng(7), (n, n)))
+    D = T @ T.adjoint() - T.adjoint() @ T
+    ref = np.linalg.svd(chi(D), compute_uv=False)[0]
+    if which:
+        monkeypatch.setattr(QMatrix, "adjoint", _no_quaternion_algebra)
+        monkeypatch.setattr(QMatrix, "__matmul__", _no_quaternion_algebra)
+    with caplog.at_level(logging.DEBUG, logger="quatcalc"):
+        got = _normality_defect(T)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"norm: {side} self-adjoint eigensolve"]
+    assert abs(got - ref) <= 1e-14 * ref
 
 
 @pytest.mark.parametrize("s", [1.0, 1e-3, 1e-5])
