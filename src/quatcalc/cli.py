@@ -37,14 +37,14 @@ EXIT_SEPARATION = 4
 # the tolerances the riesz command gates its report on
 _RIESZ_TOLS = ("riesz-step", "riesz-restricted")
 
-# largest --sweep bound: volterra_norm(4096) holds two n x n float64
-# tables (the weights, then their scaled copy), 256 MiB, on the Perron
-# path; a matrix that falls back forms an n x n Gram matrix in its place
+# largest --sweep bound: volterra_norm(4096) holds one n x n float64
+# table, 128 MiB (plus a 16 MiB bool mask while it is built), on the
+# Perron path; a matrix that falls back forms an n x n Gram matrix too
 # and pays an O(n^3) eigensolve, and each doubling of n quadruples both
 SWEEP_MAX_N = 4096
 
-# largest --n: paper_example(which, n) peaks near 320 n^2 bytes
-# (tracemalloc), 720 MiB at n = 1536; --full's report about doubles that
+# largest --n: paper_example(which, n) peaks near 208 n^2 bytes (traced
+# at n = 192, 768), 468 MiB at n = 1536; --full's report about triples it
 EXAMPLES_MAX_N = 1536
 
 
@@ -210,7 +210,7 @@ def cmd_riesz(args) -> int:
     step_keys = ["idempotent_sigma", "commute_sigma"]
     # self-adjointness of the projection is an invariant for normal T only
     scale = norm_scale(T)
-    if _normality_defect(T) <= 1e-10 * scale ** 2:
+    if _normality_defect(T) / scale <= 1e-10 * scale:  # no scale ** 2 overflow
         step_keys.append("self_adjoint_sigma")
     ok = (max(pair.residuals[k] for k in step_keys) <= tols["riesz-step"]
           and max(pair.residuals["spectrum_sigma_hausdorff"],

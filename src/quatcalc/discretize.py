@@ -74,12 +74,18 @@ def _assemble(values: np.ndarray, coeff: Quaternion | float = 1.0) -> QMatrix:
     return QMatrix._adopt(ent)
 
 
-def _volterra_weights(n: int) -> np.ndarray:
-    """h below the diagonal, h/2 on it (the half-diagonal convention), 0 above."""
+def _volterra_unit(n: int) -> np.ndarray:
+    """1 below the diagonal, 1/2 on it (half-diagonal convention), 0 above."""
     if n < 1:
         raise ValueError("need at least one cell")
-    weights = np.tri(n, k=-1)
-    weights[np.diag_indices(n)] = 0.5
+    unit = np.tri(n, k=-1)
+    unit[np.diag_indices(n)] = 0.5
+    return unit
+
+
+def _volterra_weights(n: int) -> np.ndarray:
+    """The Volterra cell weights: the unit table times h = 1/n."""
+    weights = _volterra_unit(n)
     weights *= 1.0 / n
     return weights
 
@@ -105,15 +111,16 @@ def volterra_op(n: int, coeff: Quaternion | float = 0.5) -> QMatrix:
 def volterra_norm(n: int) -> float:
     """||volterra_op(n)||, equal bit for bit to ``op_norm(volterra_op(n))``.
 
-    The entries of ``volterra_op(n)`` are the real weights halved exactly,
-    so the weights give the same max and scaled matrix, and the norm is
-    half theirs, exactly.  No quaternion entries are built: the n x n
-    weights are a quarter of their bytes.  The weights are nonnegative, so
-    ``_matrix_norm`` takes its Perron path: its Collatz-Wielandt bracket
-    closes to the relative width 16 eps in 17 matrix-vector products for
-    every n from 64 to 4096, with no Gram matrix and no O(n^3) eigensolve.
+    The entries of ``volterra_op(n)`` are 0.5 / n times the unit table
+    (1 below the diagonal, 1/2 on it), the X the core scales them to, so
+    the unit table's norm times 0.5 / n has the same bits.  The core reads
+    that table in place (its scale is exactly 1): one real n x n table, no
+    quaternion entries.  It is nonnegative, so ``_matrix_norm`` takes its
+    Perron path: its Collatz-Wielandt bracket closes to the relative width
+    16 eps in 17 matrix-vector products for every n from 64 to 4096, with
+    no Gram matrix and no O(n^3) eigensolve.
     """
-    return 0.5 * _matrix_norm(_volterra_weights(n))
+    return _matrix_norm(_volterra_unit(n)) * (0.5 / n)
 
 
 @dataclass(frozen=True)

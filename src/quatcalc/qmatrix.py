@@ -425,6 +425,8 @@ def _matrix_norm(M: np.ndarray, hermitian: bool = False) -> float:
     Scaling to unit entries keeps G clear of overflow and underflow (a
     subnormal s is first raised by 2^600, exactly, since a complex M / s
     would overflow).  A zero (M empty too) or non-finite s is returned.
+    X = M / s is the one scaled copy; when s is exactly 1, M is read in
+    place instead (no route writes to X), so M is never changed.
 
     ``hermitian=True`` (self-adjoint M, lower triangle read) takes the
     spectral radius s * max|lambda(X)| from one ``eigvalsh``, no Gram
@@ -444,7 +446,7 @@ def _matrix_norm(M: np.ndarray, hermitian: bool = False) -> float:
         shift = 600
         M = M * 2.0 ** shift
         s = float(np.abs(M).max())
-    X = M / s
+    X = M / s if s != 1.0 else M  # M / 1.0 == M: read M in place
     del M
     if hermitian:
         _log.debug("norm: %d x %d self-adjoint eigensolve", *X.shape)
@@ -645,7 +647,7 @@ def normal_eigensystem(T: QMatrix) -> tuple[np.ndarray, QMatrix]:
     n = T.rows
     scale = max(op_norm(T), 1e-300)
     defect = _normality_defect(T)
-    if defect > 1e-10 * scale ** 2 * 10:
+    if defect / scale > 1e-10 * scale * 10:  # scale ** 2 overflows first
         raise ValueError(f"matrix is not normal (defect {defect:.3e})")
     N = chi(T)
     # numpy has no Schur form; the only scipy.linalg call in the package,

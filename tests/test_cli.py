@@ -124,6 +124,25 @@ def test_overflowing_products_of_a_finite_input_exit_4(overflowing, capsys,
     assert captured.err == f"numerical error: {stage}\n"
 
 
+def test_riesz_past_the_square_root_of_the_largest_float_reaches_its_gates(
+        tmp_path):
+    """||T||^2 overflows once ||T|| > 1.34e154 while TT* - T*T stays
+    finite: the normality test divides the defect by ||T|| first, so the
+    request is no numerical error (exit 4).  It reaches its gates, passes
+    the relative step gate and fails the absolute restricted-spectra gate
+    (exit 1)."""
+    p = tmp_path / "T.json"
+    _write_matrix(p, QMatrix(np.full((4, 4, 4), [5e153, 0.0, 0.0, 0.0])))
+    out = tmp_path / "riesz.json"
+    assert main(["riesz", "--input", str(p), "--partition", "2e154,0",
+                 "--output", str(out)]) == 1
+    report = json.loads(out.read_text())
+    res, tols = report["residuals"], report["tolerances"]
+    assert max(res[k] for k in ("idempotent_sigma", "commute_sigma",
+                                "self_adjoint_sigma")) <= tols["riesz-step"]
+    assert res["spectrum_sigma_hausdorff"] > tols["riesz-restricted"]
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_spectrum_rejects_non_finite_entry(tmp_path, capsys, bad):
     e = np.eye(2)[..., None] * np.array([1.0, 0, 0, 0])
@@ -242,6 +261,17 @@ def test_examples_sweep_to_1024_matches_closed_form(tmp_path):
     for n, r in zip(ns, rows):
         exact = 1.0 / (4 * n * np.tan(np.pi / (4 * n)))
         assert abs(float(r[1]) - exact) <= 1e-15 * exact
+
+
+def test_examples_sweep_to_1024_holds_one_table(tmp_path, traced_peak):
+    """The sweep holds one n x n float64 table at n = 1024, plus its build
+    mask (traced by tracemalloc): the norm core reads the unit table in
+    place instead of making a scaled copy."""
+    out = str(tmp_path / "sweep.csv")
+    main(["examples", "--sweep", "8:8", "--output", out])  # lazy imports
+    peak = traced_peak(
+        lambda: main(["examples", "--sweep", "64:1024", "--output", out]))
+    assert peak <= 1.2 * 8 * 1024 * 1024
 
 
 def test_examples_bad_sweep():

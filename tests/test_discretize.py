@@ -1,6 +1,4 @@
-import gc
 import hashlib
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -283,24 +281,12 @@ def test_volterra_op_matches_the_einsum_formula_bitwise(n, coeff):
     assert got.tobytes() == _einsum_volterra(n, coeff).tobytes()
 
 
-def _traced_peak(call) -> int:
-    """Peak bytes tracemalloc sees while call() runs."""
-    gc.collect()
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_volterra_op_norm_peak_memory_is_within_1_6_entries():
+def test_volterra_op_norm_peak_memory_is_within_1_6_entries(traced_peak):
     """Building the n = 512 Volterra matrix and taking its norm holds at
     most 1.6 times the entries' bytes at once (traced by tracemalloc):
     the entries are written once, into the array the QMatrix adopts."""
     op_norm(volterra_op(8))   # first calls load lazy numpy modules
-    peak = _traced_peak(lambda: op_norm(volterra_op(512)))
+    peak = traced_peak(lambda: op_norm(volterra_op(512)))
     assert peak <= 1.6 * 512 * 512 * 4 * 8
 
 
@@ -317,14 +303,16 @@ def test_nonnormal_norm_K_equals_volterra_norm_bitwise(n):
             == volterra_norm(n).hex())
 
 
-def test_volterra_norm_peak_memory_is_below_one_entries_array():
-    """The norm from the real weights holds at most two real n x n arrays
-    at once (the weights and their scaled copy; traced by tracemalloc), half
-    the 4 n^2 doubles of the quaternion entries that ``volterra_op`` would
-    build: the Perron path forms no Gram matrix."""
+def test_volterra_norm_peak_memory_is_below_one_entries_array(traced_peak):
+    """The norm holds one real n x n table at once (traced by tracemalloc):
+    the unit table, which the norm core reads in place since its scale is
+    exactly 1, plus ``np.tri``'s n x n bool mask (1/8 of a table) while it
+    is built.  That is about a quarter of the 4 n^2 doubles of the
+    quaternion entries that ``volterra_op`` would build: the Perron path
+    forms no Gram matrix and no scaled copy."""
     volterra_norm(8)   # first calls load lazy numpy modules
-    peak = _traced_peak(lambda: volterra_norm(512))
-    assert peak <= 2.2 * 512 * 512 * 8
+    peak = traced_peak(lambda: volterra_norm(512))
+    assert peak <= 1.2 * 512 * 512 * 8
 
 
 @pytest.mark.parametrize("n", [64, 1024, 2048])

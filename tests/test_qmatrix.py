@@ -346,6 +346,39 @@ def test_normal_example_norm_falls_back_after_few_products(monkeypatch,
     assert "after 2 products" in caplog.text
 
 
+def _unit_scaled(route: str) -> np.ndarray:
+    """A 256 x 256 matrix with max|M| exactly 1 for each route of the core."""
+    rng = np.random.default_rng(5)
+    M = rng.random((256, 256))
+    if route == "gram":
+        M = 0.5 * (M + 1j * rng.random((256, 256)))
+    elif route == "hermitian":
+        M = 0.5 * (M + M.T)
+    M[0, 0] = 1.0
+    return M
+
+
+def test_matrix_norm_reads_a_unit_scaled_matrix_in_place(traced_peak):
+    """A real M >= 0 with max|M| exactly 1 is read in place: the Perron
+    path holds a few n-vectors, no scaled n x n copy (traced by
+    tracemalloc), and M is unchanged."""
+    M = _unit_scaled("perron")
+    before = M.tobytes()
+    _matrix_norm(M)   # first calls load lazy numpy modules
+    assert traced_peak(lambda: _matrix_norm(M)) <= 0.05 * M.nbytes
+    assert M.tobytes() == before
+
+
+@pytest.mark.parametrize("route", ["perron", "gram", "hermitian"])
+def test_matrix_norm_of_a_unit_scaled_matrix_is_unchanged_bitwise(route):
+    """Reading M in place when its scale is 1 gives the bits that the
+    scaled copy of 0.5 M (the same unit-scaled X) gives, on every route."""
+    M = _unit_scaled(route)
+    hermitian = route == "hermitian"
+    assert (_matrix_norm(M, hermitian).hex()
+            == (2 * _matrix_norm(0.5 * M, hermitian)).hex())
+
+
 @pytest.mark.parametrize("M, message", [
     (np.eye(2) * 3.0, "Perron bracket closed after 1 products, width 0.00e+00"),
     (np.eye(2) * 1j, "2 x 2 Gram eigensolve (complex entries)"),
@@ -482,6 +515,16 @@ def test_normal_eigensystem_reconstructs(rng):
     assert np.all(lam.imag >= -1e-12)
     D = QMatrix.diag([Quaternion(z.real, z.imag, 0, 0) for z in lam])
     assert op_norm(U @ D @ U.adjoint() - T) <= 1e-9 * op_norm(T)
+    assert op_norm(U @ U.adjoint() - QMatrix.eye(4)) <= 1e-10
+
+
+def test_normal_eigensystem_past_the_square_root_of_the_largest_float():
+    """||T||^2 overflows once ||T|| > 1.34e154 while TT* - T*T stays
+    finite: the normality test compares defect / ||T|| with the tolerance
+    times ||T||, so the eigenvalues {0, 0, 0, 2e154} come out."""
+    T = QMatrix(np.full((4, 4, 4), [5e153, 0.0, 0.0, 0.0]))
+    lam, U = normal_eigensystem(T)
+    assert np.abs(lam - [0.0, 0.0, 0.0, 2e154]).max() <= 1e-15 * 2e154
     assert op_norm(U @ U.adjoint() - QMatrix.eye(4)) <= 1e-10
 
 
