@@ -22,7 +22,7 @@ from numpy.linalg import LinAlgError
 
 from .quaternion import Sphere
 from .qmatrix import QMatrix, _normality_defect, norm_scale
-from .spectrum import (SpectrumProximityError, _delta_singular_values,
+from .spectrum import (SpectrumProximityError, _delta_min_sv,
                        spherical_spectrum)
 from .scalculus import riesz_decompose, SeparationError, PartitionError
 from .discretize import paper_example, volterra_norm
@@ -76,9 +76,14 @@ def _load_matrix(path: str) -> QMatrix:
 def _emit(text: str, output: str | None) -> None:
     if output:
         tmp = output + ".tmp"
-        with open(tmp, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, output)
+        try:
+            with open(tmp, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, output)
+        except OSError as e:
+            if os.path.isfile(tmp):
+                os.remove(tmp)
+            raise CliInputError(f"cannot write {output}: {e}")
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -193,8 +198,8 @@ def cmd_spectrum(args) -> int:
         raise CliInputError("operator must be square")
     spec = spherical_spectrum(T)
     entries = spec.to_json()
-    for rep, sv in zip(entries, _delta_singular_values(T, spec.spheres)):
-        rep["delta_min_sv"] = float(sv[-1])
+    for rep, v in zip(entries, _delta_min_sv(T, spec.spheres)):
+        rep["delta_min_sv"] = v
     _dump({"spheres": entries, "size": T.rows}, args.output)
     return EXIT_OK
 

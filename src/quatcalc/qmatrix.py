@@ -478,8 +478,9 @@ def op_norm(T: QMatrix) -> float:
     64 matrix-vector products, else (or when that bracket cannot close)
     from one ``eigvalsh`` (the core's self-adjoint route serves
     ``_normality_defect`` only).  Callers that need the smallest singular
-    value (Delta_q at a sphere, kernel and range bases) must keep an SVD:
-    the Gram matrix squares its condition number.  A non-finite entry
+    value (Delta_q at a sphere, kernel and range bases) must not form a
+    Gram matrix, which squares its condition number: they take an SVD or a
+    backward-stable solve (``spectrum._delta_min_sv``).  A non-finite entry
     raises ``ValueError``.
     The norm is computed at most once per matrix and kept on it (the
     entries are read-only, see ``QMatrix``), so the callers that each need

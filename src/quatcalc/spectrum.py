@@ -123,12 +123,19 @@ def spherical_spectrum(T: QMatrix) -> SphericalSpectrum:
                              tuple(int(mults[k]) for k in keep))
 
 
-def _delta_singular_values(T: QMatrix, spheres) -> list[np.ndarray]:
-    """Singular values of chi(Delta_q(T)), q = slice_embed(sp), for each
-    sphere sp, by SVD (a Gram matrix would square the conditioning of
-    sigma_min); T @ T is formed once for all of them.  A Delta_q(T) that
-    overflows for a finite T raises ``OverflowError``."""
+_CERTIFICATE_CUT = 1e-8  # a residual above this times max|C| takes the SVD
+
+
+def _delta_min_sv(T: QMatrix, spheres) -> list[float]:
+    """sigma_min of C = chi(Delta_q(T)), q = slice_embed(sp), per sphere sp,
+    from one T @ T and one step of inverse iteration: with s = max|C|, x
+    solves (C/s) x = x0 (golden-ratio phases; all-ones can be orthogonal to
+    a structured C's small singular vector) and v = s ||(C/s) x|| / ||x||,
+    an upper bound to rounding of ||C||.  A singular pivot, non-finite ||x||
+    or v > 1e-8 s takes ``svd(C)[-1]``, so a value that is not tiny is the
+    SVD's; s = 0 gives 0.0.  An overflowing Delta_q(T) raises OverflowError."""
     out = []
+    x0 = np.exp(2j * np.pi * (5 ** 0.5 - 1) / 2 * np.arange(2 * T.rows))
     with np.errstate(over="ignore", invalid="ignore"):
         T2 = T @ T
         for sp in spheres:
@@ -137,7 +144,19 @@ def _delta_singular_values(T: QMatrix, spheres) -> list[np.ndarray]:
                 raise OverflowError(
                     f"Delta_q(T) = T^2 - 2 re(q) T + |q|^2 I overflows at "
                     f"the sphere (re {sp.re!r}, rad {sp.rad!r})")
-            out.append(np.linalg.svd(chi(D), compute_uv=False))
+            C = chi(D)
+            s = float(np.abs(C).max(initial=0.0))
+            v = nx = 0.0
+            if s:
+                A = C / s
+                try:
+                    x = np.linalg.solve(A, x0)
+                    nx = float(np.linalg.norm(x))
+                    v = s * (float(np.linalg.norm(A @ x)) / nx)
+                except np.linalg.LinAlgError:  # an exactly singular pivot
+                    v = np.inf
+            out.append(v if nx < np.inf and v <= _CERTIFICATE_CUT * s
+                       else float(np.linalg.svd(C, compute_uv=False)[-1]))
     return out
 
 

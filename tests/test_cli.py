@@ -51,6 +51,49 @@ def test_spectrum_command(diag_ij3, tmp_path):
     assert all(s["delta_min_sv"] <= 1e-9 for s in spheres)
 
 
+def test_spectrum_report_is_the_same_for_one_and_two_blas_threads(tmp_path):
+    """One seeded non-normal n = 48 input, ``python -m quatcalc spectrum``
+    under OPENBLAS_NUM_THREADS=1 and =2: byte-identical reports."""
+    p = tmp_path / "T.json"
+    _write_matrix(p, QMatrix(np.random.default_rng(5).standard_normal(
+        (48, 48, 4))))
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"spec{threads}.json"
+        done = subprocess.run(
+            [sys.executable, "-m", "quatcalc", "spectrum", "--input", str(p),
+             "--output", str(out)],
+            env={**_src_env(), "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert len(json.loads(reports[0])["spheres"]) == 48
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["spectrum", "--input", None], id="spectrum"),
+    pytest.param(["examples", "--sweep", "64:128"], id="examples-sweep"),
+])
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_output_exits_2(diag_ij3, tmp_path, capsys, argv, where):
+    """An --output that cannot be written is an input error naming the path:
+    exit 2, nothing on stdout, no traceback, and no .tmp left behind (a
+    directory at the path fails only at the replace, after the write)."""
+    argv = [str(diag_ij3) if a is None else a for a in argv]
+    if where == "missing-dir":
+        out = tmp_path / "nodir" / "x.json"
+    else:
+        out = tmp_path / "taken"
+        out.mkdir()
+    assert main(argv + ["--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert "Traceback" not in captured.err
+    assert not Path(str(out) + ".tmp").exists()
+
+
 def test_spectrum_of_empty_matrix(tmp_path):
     p = tmp_path / "empty.json"
     _write_matrix(p, QMatrix.zeros(0))

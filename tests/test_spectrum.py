@@ -7,11 +7,14 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from quatcalc.discretize import grid_points, paper_example
-from quatcalc.quaternion import ImaginaryUnit, Quaternion, Sphere, sphere_of
+from quatcalc.quaternion import (ImaginaryUnit, Quaternion, Sphere,
+                                 slice_embed, sphere_of)
 from quatcalc.qmatrix import QMatrix, chi, chi_inv, op_norm
 from quatcalc.spectrum import (
     SpectrumProximityError,
     _chi_eigenvalues,
+    _delta_min_sv,
+    _delta_of_square,
     delta,
     s_resolvent,
     spherical_spectrum,
@@ -336,3 +339,92 @@ def test_multiplicities_count_every_eigenvalue_once(n, defective, seed):
     spec = spherical_spectrum(QMatrix(e))
     assert spec.total_multiplicity() == n
     assert all(m >= 1 for m in spec.multiplicities)
+
+
+def _delta_svd(T: QMatrix, spheres) -> list[tuple[float, float, float]]:
+    """(sigma_min, ||C||, max|C|) of C = chi(Delta_q(T)) per sphere, by SVD."""
+    T2 = T @ T
+    out = []
+    for sp in spheres:
+        C = chi(_delta_of_square(T, T2, slice_embed(sp)))
+        sv = np.linalg.svd(C, compute_uv=False)
+        out.append((float(sv[-1]), float(sv[0]), float(np.abs(C).max())))
+    return out
+
+
+def _chi_jordan(eig: complex, n: int) -> QMatrix:
+    M = np.eye(n, dtype=complex) * eig + np.eye(n, k=1, dtype=complex)
+    full = np.zeros((2 * n, 2 * n), dtype=complex)
+    full[:n, :n], full[n:, n:] = M, M.conj()
+    return chi_inv(full)
+
+
+_CERTIFIED = (
+    [pytest.param(QMatrix(np.random.default_rng(seed).standard_normal(
+        (n, n, 4))), id=f"random-{n}-{seed}")
+     for n in (1, 2, 5, 8, 12) for seed in (0, 1, 2)]
+    + [pytest.param(paper_example(w, n).T, id=f"{w}-{n}")
+       for w in ("normal", "nonnormal") for n in (12, 48)])
+
+
+@pytest.mark.parametrize("T", _CERTIFIED)
+def test_delta_certificate_bounds_the_smallest_singular_value(T):
+    """Each certificate v is at least sigma_min(C) up to 1e-13 ||C||, and it
+    is the SVD's value or at most 1e-8 max|C| (so a gate v <= tol passes
+    only when sigma_min does)."""
+    spheres = spherical_spectrum(T).spheres
+    got = _delta_min_sv(T, spheres)
+    assert len(got) == len(spheres)
+    for v, (smin, norm, s) in zip(got, _delta_svd(T, spheres)):
+        assert v >= smin - 1e-13 * norm
+        assert v == smin or v <= 1e-8 * s
+
+
+@pytest.mark.parametrize("T", [
+    pytest.param(QMatrix.zeros(3), id="zero-3"),
+    pytest.param(_chi_jordan(0.5, 4), id="J4(0.5)"),
+    pytest.param(_chi_jordan(0.5 + 0.3j, 6), id="J6(0.5+0.3i)"),
+    pytest.param(QMatrix.diag([Quaternion(0, 1, 0, 0), Quaternion(3, 0, 0, 0)]),
+                 id="diag(i,3)"),
+])
+def test_delta_certificate_of_singular_pivots_is_the_svd_value(T):
+    """Exactly singular pivots (and the zero matrix) report the SVD value."""
+    spheres = spherical_spectrum(T).spheres
+    assert spheres
+    assert _delta_min_sv(T, spheres) == [smin for smin, _, _ in
+                                         _delta_svd(T, spheres)]
+
+
+def _symmetric_orthogonal_to_ones(n: int) -> QMatrix:
+    """T = Q diag(k + (0.4 + 0.1 k) i) Q^T, k = 1..n, for a real orthogonal Q
+    whose first column is all-ones over sqrt n: the other columns, and with
+    them the small singular vectors of chi(Delta_q) at every sphere but the
+    first, are orthogonal to the all-ones vector."""
+    Q = np.linalg.qr(np.random.default_rng(0).standard_normal((n, n)))[0]
+    Q[:, 0] = 1.0
+    Q = np.linalg.qr(Q)[0]
+    k = np.arange(1.0, n + 1)
+    e = np.zeros((n, n, 4))
+    e[..., 0] = Q @ np.diag(k) @ Q.T
+    e[..., 1] = Q @ np.diag(0.4 + 0.1 * k) @ Q.T
+    return QMatrix(e)
+
+
+@pytest.mark.parametrize("T", [
+    pytest.param(QMatrix(np.random.default_rng(3).standard_normal(
+        (48, 48, 4))), id="random-48"),
+    pytest.param(_symmetric_orthogonal_to_ones(8),
+                 id="symmetric-orthogonal-to-ones-8"),
+])
+def test_delta_certificate_takes_no_svd_off_singular_pivots(T, monkeypatch):
+    """No SVD without an exactly singular pivot, also when the small singular
+    vectors are orthogonal to the all-ones vector."""
+    spheres = spherical_spectrum(T).spheres
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    got = _delta_min_sv(T, spheres)
+    assert len(got) == len(spheres) == T.rows
+    assert max(got) <= 1e-12 * op_norm(T) ** 2
