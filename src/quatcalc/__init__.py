@@ -25,7 +25,6 @@ from .qmatrix import (
     chi_inv,
     extend,
     modulus,
-    norm_scale,
     normal_eigensystem,
     op_norm,
     plus_eigenbasis,

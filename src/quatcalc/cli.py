@@ -21,7 +21,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from .quaternion import Sphere
-from .qmatrix import QMatrix, _normality_defect, norm_scale
+from .qmatrix import QMatrix, _normality_defect, op_norm
 from .spectrum import (SpectrumProximityError, _delta_min_sv,
                        spherical_spectrum)
 from .scalculus import riesz_decompose, SeparationError, PartitionError
@@ -213,13 +213,15 @@ def cmd_riesz(args) -> int:
     tols.update(_tol_overrides(args))
     pair = riesz_decompose(T, sigma)
     step_keys = ["idempotent_sigma", "commute_sigma"]
-    # self-adjointness of the projection is an invariant for normal T only
-    scale = norm_scale(T)
+    # self-adjointness of the projection is an invariant for normal T only;
+    # the restricted spectra are gated relative to ||T|| (> 0: T = 0 has
+    # one sphere, which no partition splits)
+    scale = op_norm(T)
     if _normality_defect(T) / scale <= 1e-10 * scale:  # no scale ** 2 overflow
         step_keys.append("self_adjoint_sigma")
     ok = (max(pair.residuals[k] for k in step_keys) <= tols["riesz-step"]
           and max(pair.residuals["spectrum_sigma_hausdorff"],
-                  pair.residuals["spectrum_tau_hausdorff"])
+                  pair.residuals["spectrum_tau_hausdorff"]) / scale
           <= tols["riesz-restricted"])
     report = {
         "P_sigma": pair.P_sigma.to_json(),

@@ -9,7 +9,8 @@ the corresponding eigenspace of the complex adjoint matrix is minimal
 (one Jordan chain).  The decision below uses that criterion but always
 returns a certificate: either the verified rank profile that precludes a
 commuting idempotent, or a witness idempotent E that passes one gate,
-||E^2 - E|| and ||ET - TE|| / max(||T||, 1) at most ``_WITNESS_TOL``.
+||E^2 - E|| and ||ET - TE|| / ||T|| at most ``_WITNESS_TOL``.  Every
+tolerance scales with ||T||, so T and cT get the same verdict.
 The witness routes: "riesz", the Riesz projection that splits the most
 isolated sphere off the rest of the spectrum; "eigenvector", E = v v* for
 a reducing eigenvector v; and "search", a brute-force idempotent search
@@ -25,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .quaternion import Sphere
-from .qmatrix import (QMatrix, chi, chi_inv, chi_vec_inv, extend, norm_scale,
-                      op_norm)
+from .qmatrix import (QMatrix, _matrix_norm, chi, chi_inv, chi_vec_inv,
+                      extend, op_norm)
 from .spectrum import spherical_spectrum, SphericalSpectrum
 from .scalculus import build_contour, riesz_projection
 
@@ -58,7 +59,7 @@ def _commutant(T: QMatrix) -> list[QMatrix]:
         raise ValueError(f"the commutant oracle is limited to n <= "
                          f"{_ORACLE_MAX_N}, got n = {n}")
     dim = 4 * n * n
-    scale = norm_scale(T)
+    scale = op_norm(T)
     rows = np.empty((dim, dim))
     for k in range(dim):
         e = np.zeros(dim)
@@ -120,14 +121,15 @@ def is_strongly_irreducible(T: QMatrix) -> StrongIrreducibilityReport:
     if not T.is_square:
         raise ValueError("strong irreducibility requires a square matrix")
     spec = spherical_spectrum(T)
-    scale = norm_scale(T)
+    scale = op_norm(T)
 
     def report(verdict, detail, E=None):
         return StrongIrreducibilityReport(verdict, E, spec, detail)
 
     def certified(E: QMatrix, detail: dict) -> StrongIrreducibilityReport:
+        # ET - TE is exactly 0 for T = 0, the one T with ||T|| = 0
         res = {"idempotent": op_norm(E @ E - E),
-               "commutes": op_norm(E @ T - T @ E) / scale}
+               "commutes": op_norm(E @ T - T @ E) / scale if scale else 0.0}
         if max(res.values()) <= _WITNESS_TOL:
             return report("decomposable", dict(detail, residuals=res), E)
         return report("indeterminate", dict(detail, residuals=res, reason=(
@@ -210,10 +212,9 @@ def complex_strongly_irreducible(S: np.ndarray) -> bool:
     if n == 0:
         return False
     w = np.linalg.eigvals(S)
-    scale = max(np.linalg.norm(S, 2), 1.0)
     # judge the spread and the rank at the jitter resolution, as
     # is_strongly_irreducible does
-    cluster_tol = _jitter_resolution(scale, n)
+    cluster_tol = _jitter_resolution(_matrix_norm(S), n)
     lam = w.mean()
     if np.abs(w - lam).max() > cluster_tol:
         return False
@@ -309,6 +310,6 @@ def _find_idempotent(T: QMatrix, seed: int = 0) -> QMatrix | None:
         if np.linalg.norm(E) < 1e-6 or np.linalg.norm(E - eye) < 1e-6:
             continue
         Q = chi_inv(E, tol=1e-8)
-        if op_norm(Q @ T - T @ Q) <= 1e-8 * norm_scale(T):
+        if op_norm(Q @ T - T @ Q) <= 1e-8 * op_norm(T):
             return Q
     return None

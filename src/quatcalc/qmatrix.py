@@ -44,7 +44,6 @@ __all__ = [
     "chi_vec",
     "chi_vec_inv",
     "op_norm",
-    "norm_scale",
     "positive_sqrt",
     "modulus",
     "polar",
@@ -316,7 +315,8 @@ def chi_inv(M: np.ndarray, tol: float = 1e-12) -> QMatrix:
     if n2 % 2 or m2 % 2:
         raise ValueError("chi image must have even dimensions")
     n, m = n2 // 2, m2 // 2
-    scale = max(np.abs(M).max(initial=0.0), 1.0)
+    # a Python float: tol = inf on M = 0 gives a quiet nan, and no raise
+    scale = float(np.abs(M).max(initial=0.0))
     if _chi_defect(M) > tol * scale:
         raise ValueError("matrix is not in the image of chi "
                          f"(defect {_chi_defect(M):.3e}, scale {scale:.3e})")
@@ -484,8 +484,8 @@ def op_norm(T: QMatrix) -> float:
     raises ``ValueError``.
     The norm is computed at most once per matrix and kept on it (the
     entries are read-only, see ``QMatrix``), so the callers that each need
-    ||T|| of one T (``norm_scale``, the spectrum, the quadrature's proximity
-    guard) share one eigensolve.
+    ||T|| of one T (every tolerance scale: the spectrum, the decision, the
+    quadrature's proximity guard) share one eigensolve.
     """
     norm = getattr(T, "_norm", None)
     if norm is not None:
@@ -499,27 +499,6 @@ def op_norm(T: QMatrix) -> float:
                          f"{T.entries[r, c].tolist()} at ({r}, {c})")
     object.__setattr__(T, "_norm", norm)
     return norm
-
-
-def norm_scale(T: QMatrix) -> float:
-    """max(||T||, 1), equal bit for bit to ``max(op_norm(T), 1.0)``.
-
-    The Schur test bounds ||T|| by sqrt(max row sum * max column sum) of the
-    entry moduli |T_rc|, in O(n m).  Rounding moves that bound and
-    ``op_norm`` by a relative amount of order (n + m) eps, so when the bound
-    is below 1 by more than 1e-12 + 8 (n + m) eps, ``op_norm`` is below 1
-    too and the scale is 1.0 without a Gram matrix or an eigensolver.
-    Otherwise (and on a non-finite entry, which ``op_norm`` reports with a
-    ``ValueError``) the scale is ``max(op_norm(T), 1.0)``.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: op_norm
-        moduli = np.sqrt(np.einsum("rcq,rcq->rc", T.entries, T.entries))
-        bound = math.sqrt(moduli.sum(axis=1).max(initial=0.0)
-                          * moduli.sum(axis=0).max(initial=0.0))
-    slack = 1e-12 + 8 * (T.rows + T.cols) * np.finfo(float).eps
-    if bound < 1.0 - slack:
-        return 1.0
-    return max(op_norm(T), 1.0)
 
 
 def _defect_matrix(T: QMatrix) -> np.ndarray:
@@ -551,14 +530,14 @@ def _normality_defect(T: QMatrix) -> float:
 def positive_sqrt(T: QMatrix) -> QMatrix:
     """Unique positive square root of a positive operator.
 
-    T must be self-adjoint to 1e-10 max(max|chi(T)|, 1).  Eigenvalues of
-    chi(T) may dip slightly negative; they are clipped at -1e-12 * ||T||
-    and anything below that is a domain error.
+    T must be self-adjoint to 1e-10 max|chi(T)|.  Eigenvalues of chi(T)
+    may dip slightly negative; they are clipped at -1e-12 max|chi(T)| and
+    anything below that is a domain error.
     """
     if not T.is_square:
         raise ValueError("square root requires a square matrix")
     M = chi(T)
-    scale = max(np.abs(M).max(initial=0.0), 1.0)
+    scale = np.abs(M).max(initial=0.0)
     if np.abs(M - M.conj().T).max(initial=0.0) > 1e-10 * scale:
         raise ValueError("square root requires a self-adjoint operator")
     lam, V = np.linalg.eigh(0.5 * (M + M.conj().T))
@@ -570,8 +549,8 @@ def positive_sqrt(T: QMatrix) -> QMatrix:
 
 
 def modulus(T: QMatrix) -> QMatrix:
-    """|T| = (T* T)^(1/2)."""
-    return positive_sqrt(T.adjoint() @ T)
+    """|T| = (T* T)^(1/2), the positive factor of ``polar``."""
+    return polar(T)[1]
 
 
 def polar(T: QMatrix) -> tuple[QMatrix, QMatrix]:
@@ -726,7 +705,7 @@ def plus_eigenbasis(J: QMatrix) -> QMatrix:
         raise ValueError("J must be square")
     n = J.rows
     M = chi(J)
-    scale = max(np.abs(M).max(initial=0.0), 1.0)
+    scale = np.abs(M).max(initial=0.0)
     if (np.abs(M + M.conj().T).max(initial=0.0) > 1e-10 * scale
             or np.abs(M @ M.conj().T - np.eye(2 * n)).max(initial=0.0) > 1e-10 * 10):
         raise ValueError("J must be anti-self-adjoint and unitary")
@@ -757,8 +736,8 @@ def extend(Tp: np.ndarray, J: QMatrix, basis: QMatrix | None = None) -> QMatrix:
 def restrict(V: QMatrix, J: QMatrix,
              basis: QMatrix | None = None) -> np.ndarray:
     """Complex matrix of a J-commuting operator restricted to H_+^{Ji};
-    JV = VJ and a C_i-valued result hold to 1e-9 max(||V||, 1)."""
-    scale = norm_scale(V)
+    JV = VJ and a C_i-valued result hold to 1e-9 ||V||."""
+    scale = op_norm(V)
     if op_norm(J @ V - V @ J) > 1e-10 * scale * 10:
         raise ValueError("operator does not commute with J; no restriction exists")
     U = plus_eigenbasis(J) if basis is None else basis

@@ -57,7 +57,7 @@ import numpy as np
 from .quaternion import (UNIT_I, ImaginaryUnit, Quaternion, Sphere,
                          _slice_rotor, circularize, qconj, qmul)
 from .qmatrix import (QMatrix, _mirror_defect, _pair, _unpair, chi,
-                      gram_schmidt, norm_scale, op_norm)
+                      gram_schmidt, op_norm)
 from .spectrum import (SphericalSpectrum, _trace_distances, hausdorff_distance,
                        spherical_spectrum)
 
@@ -210,8 +210,9 @@ def _sphere_circles(sigma, other) -> list[Circle]:
     """One circle (pair) per sigma sphere, centered at its trace points,
     of radius 0.45 times the distance to the nearest other trace."""
     # near-duplicate sigma spheres (numerical jitter of a multiple sphere)
-    # share one circle; keep them apart from genuinely distinct traces
-    res = 1e-7 * max(max(abs(s.re) + s.rad for s in sigma + other), 1.0)
+    # share one circle; keep them apart from genuinely distinct traces,
+    # at a resolution relative to the spheres' extent
+    res = 1e-7 * max(abs(s.re) + s.rad for s in sigma + other)
     reps, _ = circularize([complex(s.re, s.rad) for s in sigma], res)
 
     circles: list[Circle] = []
@@ -290,7 +291,7 @@ def _sized_contour(circles, sigma, other, m: ImaginaryUnit,
         for t in sigma + other:
             for sign in ((1, -1) if t.rad > 0.0 else (1,)):
                 d = math.hypot(t.re - c.center, sign * t.rad - c.height)
-                if d < 1e-14:
+                if d < 1e-14 * c.radius:
                     continue  # the enclosed trace at the center is harmless
                 rho = min(rho,
                           d / c.radius if d > c.radius else c.radius / d)
@@ -524,9 +525,10 @@ class RieszPair:
 def riesz_decompose(T: QMatrix, sigma) -> RieszPair:
     """Riesz projections for a partition of the spherical spectrum.
 
-    ``sigma`` selects spheres of sigma_S(T) (matched within 1e-8); tau is
-    the complement, and both parts must be nonempty.  One contour encloses
-    sigma against tau, one quadrature gives P_sigma, and P_tau = I - P_sigma.
+    ``sigma`` selects spheres of sigma_S(T) (matched within 1e-8 ||T||);
+    tau is the complement, and both parts must be nonempty.  One contour
+    encloses sigma against tau, one quadrature gives P_sigma, and
+    P_tau = I - P_sigma.
 
     The accuracy gate is ``idempotent_sigma`` = ||P^2 - P||.  The trapezoid
     rule returns P = f_N(T), f_N the rule's rational approximation of the
@@ -541,7 +543,7 @@ def riesz_decompose(T: QMatrix, sigma) -> RieszPair:
     """
     spec = spherical_spectrum(T)
     all_spheres = set(spec.spheres)
-    sig = _match_spheres(sigma, all_spheres)
+    sig = _match_spheres(sigma, all_spheres, 1e-8 * op_norm(T))
     ta = all_spheres - sig
     if not sig or not ta:
         raise PartitionError("both partition parts must be nonempty")
@@ -560,8 +562,7 @@ def riesz_decompose(T: QMatrix, sigma) -> RieszPair:
     residuals = {
         "idempotent_sigma": op_norm(P_sigma @ P_sigma - P_sigma),
         "self_adjoint_sigma": op_norm(P_sigma - P_sigma.adjoint()),
-        "commute_sigma": (op_norm(T @ P_sigma - P_sigma @ T)
-                          / norm_scale(T)),
+        "commute_sigma": op_norm(T @ P_sigma - P_sigma @ T) / op_norm(T),
         "spectrum_sigma_hausdorff": hausdorff_distance(
             spec_sigma.spheres, sig),
         "spectrum_tau_hausdorff": hausdorff_distance(
@@ -576,10 +577,10 @@ def riesz_decompose(T: QMatrix, sigma) -> RieszPair:
     )
 
 
-def _match_spheres(requested, available) -> set:
+def _match_spheres(requested, available, tol: float) -> set:
     matched = set()
     for r in requested:
-        hits = [s for s in available if s.distance(r) <= 1e-8]
+        hits = [s for s in available if s.distance(r) <= tol]
         if not hits:
             raise PartitionError(f"no spectrum sphere matches {r}")
         matched.add(min(hits, key=lambda s: s.distance(r)))

@@ -14,8 +14,7 @@ import numpy as np
 from .quaternion import (UNIT_I, ImaginaryUnit, Quaternion, Sphere,
                          _slice_rotor, circularize, qconj, qmul, slice_embed)
 from .qmatrix import (QMatrix, _mirror_defect, _slice_matrix, _unpair, chi,
-                      norm_scale)
-from .qmatrix import op_norm  # noqa: F401  (kept importable from this module)
+                      op_norm)
 
 _log = logging.getLogger("quatcalc")
 
@@ -95,8 +94,9 @@ def spherical_spectrum(T: QMatrix) -> SphericalSpectrum:
 
     Computed from the eigenvalues of chi(T), which come in conjugate pairs:
     each pair is one quaternionic eigenvalue.  ``circularize`` groups them
-    into spheres at ``1e-9 * max(||T||, 1)`` and places every chi eigenvalue
-    once, at the sphere nearest its (re, |im|); a sphere's quaternionic
+    into spheres at ``1e-9 * ||T||`` (T = 0 has the exact eigenvalue 0: one
+    sphere of multiplicity n) and places every chi eigenvalue once, at the
+    sphere nearest its (re, |im|); a sphere's quaternionic
     multiplicity is half its count.  A pair that jitter splits between two
     spheres (defective T) leaves both with an odd count; the extra half
     goes to the sphere more of whose eigenvalues lie above the real axis,
@@ -109,9 +109,9 @@ def spherical_spectrum(T: QMatrix) -> SphericalSpectrum:
     """
     if not T.is_square:
         raise ValueError("spectrum requires a square matrix")
-    scale = norm_scale(T)
+    tol = 1e-9 * op_norm(T)  # a non-finite entry raises ValueError here
     eigs = _chi_eigenvalues(T)
-    spheres, home = circularize(eigs, 1e-9 * scale)
+    spheres, home = circularize(eigs, tol)
     count = np.bincount(home, minlength=len(spheres))
     lean = np.bincount(home, weights=np.sign(eigs.imag),
                        minlength=len(spheres))
@@ -172,12 +172,12 @@ class SResolventSample:
 def _trace_distances(T: QMatrix, spec: SphericalSpectrum,
                      z: np.ndarray) -> np.ndarray:
     """Distances of slice points z = x + iy to the spectrum: the proximity
-    guard raises ``SpectrumProximityError`` within 1e-8 max(||T||, 1)."""
-    scale = norm_scale(T)
+    guard raises ``SpectrumProximityError`` within 1e-8 ||T|| (at a
+    distance 0 when T = 0)."""
     traces = np.array([(sp.re, sp.rad) for sp in spec.spheres]).reshape(-1, 2)
     dist = np.hypot(z.real[:, None] - traces[:, 0], np.abs(z.imag)[:, None]
                     - traces[:, 1]).min(axis=1, initial=np.inf)
-    near = np.flatnonzero(dist < 1e-8 * scale)
+    near = np.flatnonzero(dist <= 1e-8 * op_norm(T))
     if near.size:
         d = float(dist[near[0]])
         raise SpectrumProximityError(f"distance {d:.3e} to the spectrum", d)

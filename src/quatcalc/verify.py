@@ -20,7 +20,6 @@ from .qmatrix import (
     chi,
     chi_inv,
     extend,
-    norm_scale,
     normal_eigensystem,
     op_norm,
     plus_eigenbasis,
@@ -132,7 +131,7 @@ def suite_resolvent(rng, tols) -> list[dict]:
     for _ in range(20):
         T = _random_qmatrix(rng, 5)
         spec = spherical_spectrum(T)
-        scale = norm_scale(T)
+        scale = op_norm(T)
         eye = QMatrix.eye(5)
         for _ in range(20):
             s = _sample_point_away(rng, spec, scale)
@@ -151,7 +150,7 @@ def suite_resolvent(rng, tols) -> list[dict]:
         poly = p * p - 2.0 * s.re * p + Quaternion(s.norm_sq(), 0, 0, 0)
         rhs = (diff.scale_right(p) - diff.scale_left(s.conjugate())) \
             .scale_right(poly.inverse())
-        denom = norm_scale(lhs)
+        denom = op_norm(lhs)
         worst_eq = max(worst_eq, op_norm(lhs - rhs) / denom)
     out.append(_check("resolvent", "left/right identities",
                       worst_ident, tols["resolvent-identity"]))
@@ -169,7 +168,7 @@ def suite_cartesian(rng, tols) -> list[dict]:
         mults = [1] * len(spheres)
         mults[0] += 5 - len(spheres)
         T = _random_normal(rng, list(zip(spheres, mults)))
-        scale = norm_scale(T)
+        scale = op_norm(T)
         parts = cartesian(T)
         recon = op_norm(T - (parts.A + 0.5 * (parts.J @ parts.B))) / scale
         worst_recon = max(worst_recon, recon)
@@ -210,7 +209,7 @@ def suite_polar(rng, tols) -> list[dict]:
         worst = max(worst, op_norm(T - W @ absT) / scale)
         sv_t = np.linalg.svd(chi(T), compute_uv=False)
         sv_w = np.linalg.svd(chi(W), compute_uv=False)
-        cut = 1e-8 * max(sv_t[0], 1.0)
+        cut = 1e-8 * sv_t[0]
         if np.count_nonzero(sv_t > cut) != np.count_nonzero(sv_w > 0.5):
             rank_ok = False
     out = [_check("polar", "residual T = W0|T|", worst,
@@ -281,7 +280,7 @@ def suite_calculus(rng, tols) -> list[dict]:
         direct = T @ T + 2.0 * T + QMatrix.eye(T.rows)
         left = func_calc(f, "left", T, contour, spec)
         right = func_calc(f, "right", T, contour, spec)
-        scale = norm_scale(direct)
+        scale = op_norm(direct)
         worst_poly = max(worst_poly,
                          op_norm(left - direct) / scale,
                          op_norm(right - direct) / scale)
@@ -316,14 +315,12 @@ def suite_extension(rng, tols) -> list[dict]:
         basis = plus_eigenbasis(J)
         Sp = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         Tq = extend(Sp, J, basis=basis)
-        norm_rel = abs(op_norm(Tq) - np.linalg.norm(Sp, 2)) \
-            / max(np.linalg.norm(Sp, 2), 1.0)
-        worst_norm = max(worst_norm, norm_rel)
+        norm_S = np.linalg.norm(Sp, 2)
+        worst_norm = max(worst_norm, abs(op_norm(Tq) - norm_S) / norm_S)
         back = restrict(Tq, J, basis=basis)
         worst_round = max(worst_round,
-                          np.linalg.norm(back - Sp, 2)
-                          / max(np.linalg.norm(Sp, 2), 1.0))
-        commute = op_norm(J @ Tq - Tq @ J) / norm_scale(Tq)
+                          np.linalg.norm(back - Sp, 2) / norm_S)
+        commute = op_norm(J @ Tq - Tq @ J) / op_norm(Tq)
         worst_round = max(worst_round, commute)
     return [
         _check("extension", "norm preservation ||T~|| = ||S||",
@@ -384,7 +381,7 @@ def suite_irreducibility(rng, tols) -> list[dict]:
             witness_bad = max(
                 witness_bad,
                 op_norm(E @ E - E),
-                op_norm(E @ T - T @ E) / norm_scale(T))
+                op_norm(E @ T - T @ E) / op_norm(T))
 
     flips = 0
     bases = [catalog[6], catalog[4]]  # one SI, one not

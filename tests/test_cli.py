@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -14,8 +15,8 @@ from quatcalc import cli
 from quatcalc import qmatrix as qm
 from quatcalc.cli import main
 from quatcalc.qmatrix import QMatrix, chi, chi_inv, op_norm
-from quatcalc.quaternion import Quaternion
-from quatcalc.spectrum import spherical_spectrum
+from quatcalc.quaternion import Quaternion, Sphere
+from quatcalc.spectrum import hausdorff_distance, spherical_spectrum
 
 
 def _write_matrix(path, T: QMatrix):
@@ -171,19 +172,48 @@ def test_riesz_past_the_square_root_of_the_largest_float_reaches_its_gates(
         tmp_path):
     """||T||^2 overflows once ||T|| > 1.34e154 while TT* - T*T stays
     finite: the normality test divides the defect by ||T|| first, so the
-    request is no numerical error (exit 4).  It reaches its gates, passes
-    the relative step gate and fails the absolute restricted-spectra gate
-    (exit 1)."""
+    request is no numerical error (exit 4).  It reaches its gates and
+    passes both: the step gate and the restricted-spectra gate, which
+    divides the Hausdorff distances by ||T|| (the report keeps them raw)."""
     p = tmp_path / "T.json"
-    _write_matrix(p, QMatrix(np.full((4, 4, 4), [5e153, 0.0, 0.0, 0.0])))
+    T = QMatrix(np.full((4, 4, 4), [5e153, 0.0, 0.0, 0.0]))
+    _write_matrix(p, T)
     out = tmp_path / "riesz.json"
     assert main(["riesz", "--input", str(p), "--partition", "2e154,0",
-                 "--output", str(out)]) == 1
+                 "--output", str(out)]) == 0
     report = json.loads(out.read_text())
     res, tols = report["residuals"], report["tolerances"]
     assert max(res[k] for k in ("idempotent_sigma", "commute_sigma",
                                 "self_adjoint_sigma")) <= tols["riesz-step"]
-    assert res["spectrum_sigma_hausdorff"] > tols["riesz-restricted"]
+    hausdorff = max(res["spectrum_sigma_hausdorff"],
+                    res["spectrum_tau_hausdorff"])
+    assert tols["riesz-restricted"] < hausdorff
+    assert hausdorff <= tols["riesz-restricted"] * op_norm(T)
+
+
+@pytest.mark.parametrize("c", [1.0, 2.0 ** -40, 2.0 ** 500])
+@pytest.mark.parametrize("shift", [0.0, 1e-3])
+def test_riesz_rejects_a_restricted_spectrum_shifted_by_1e_3(
+        c, shift, tmp_path, monkeypatch):
+    """c diag(j, 3) split at c j: a restricted sigma spectrum moved by
+    1e-3 c, ||T|| = 3c, fails the relative gate (exit 1) at every scale c;
+    the unshifted one passes."""
+    T = QMatrix.diag([Quaternion(0, 0, c, 0), Quaternion(3 * c, 0, 0, 0)])
+    p = tmp_path / "T.json"
+    _write_matrix(p, T)
+    decompose = cli.riesz_decompose
+
+    def shifted(T, sigma):
+        pair = decompose(T, sigma)
+        moved = [Sphere(s.re + shift * c, s.rad)
+                 for s in pair.spectrum_sigma.spheres]
+        return dataclasses.replace(pair, residuals=dict(
+            pair.residuals, spectrum_sigma_hausdorff=hausdorff_distance(
+                moved, pair.spectrum_sigma.spheres)))
+
+    monkeypatch.setattr(cli, "riesz_decompose", shifted)
+    assert main(["riesz", "--input", str(p), "--partition", f"0,{c!r}",
+                 "--output", str(tmp_path / "r.json")]) == (1 if shift else 0)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

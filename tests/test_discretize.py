@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from quatcalc.qmatrix import QMatrix, norm_scale, op_norm
+from quatcalc.qmatrix import QMatrix, op_norm
 from quatcalc.quaternion import Quaternion, Sphere
 from quatcalc.spectrum import spherical_spectrum
 from quatcalc.verify import _normal_example_commutator_norm
@@ -336,19 +336,3 @@ def test_grid_builders_make_read_only_c_contiguous_entries():
         e = op.entries
         assert e.flags.c_contiguous and not e.flags.writeable
         assert e.dtype == np.float64
-
-
-@pytest.mark.parametrize("which", ["normal", "nonnormal"])
-def test_paper_operators_are_scaled_by_the_schur_bound_alone(which,
-                                                             monkeypatch):
-    """Both paper operators have a Schur bound below 1, so norm_scale
-    returns 1.0 without the eigensolver behind op_norm."""
-    import quatcalc.qmatrix as qm
-
-    T = paper_example(which, 96).T
-
-    def refuse(T):
-        raise AssertionError("op_norm called")
-
-    monkeypatch.setattr(qm, "op_norm", refuse)
-    assert norm_scale(T) == 1.0

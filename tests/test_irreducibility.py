@@ -10,8 +10,7 @@ import pytest
 import quatcalc
 from quatcalc import irreducibility
 from quatcalc.discretize import paper_example
-from quatcalc.qmatrix import (QMatrix, chi, chi_inv, norm_scale, op_norm,
-                              polar)
+from quatcalc.qmatrix import QMatrix, chi, chi_inv, op_norm, polar
 from quatcalc.quaternion import Quaternion
 from quatcalc.scalculus import SeparationError
 from quatcalc.irreducibility import (
@@ -403,5 +402,5 @@ def test_similar_copies_of_two_blocks_on_one_sphere_never_say_irreducible():
         if rep.witness is not None:
             E = rep.witness
             assert op_norm(E @ E - E) <= 1e-6
-            assert op_norm(E @ Tsim - Tsim @ E) / norm_scale(Tsim) <= 1e-6
+            assert op_norm(E @ Tsim - Tsim @ E) / op_norm(Tsim) <= 1e-6
     assert "decomposable" in verdicts

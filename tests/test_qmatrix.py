@@ -27,7 +27,6 @@ from quatcalc.qmatrix import (
     extend,
     gram_schmidt,
     modulus,
-    norm_scale,
     normal_eigensystem,
     op_norm,
     plus_eigenbasis,
@@ -393,59 +392,6 @@ def test_matrix_norm_logs_its_path(M, message, caplog):
         _matrix_norm(M)
     assert [r.name for r in caplog.records] == ["quatcalc"]
     assert message in caplog.text
-
-
-@settings(max_examples=120, deadline=None)
-@example(r=0, c=0, parts=4, seed=0, target=1.0)
-@example(r=3, c=2, parts=4, seed=0, target=0.0)
-@example(r=1, c=1, parts=1, seed=0, target=1 - 1e-13)
-@example(r=1, c=1, parts=2, seed=0, target=1 + 1e-13)
-@given(r=st.integers(0, 8), c=st.integers(0, 8), parts=st.sampled_from([1, 2, 4]),
-       seed=st.integers(0, 2 ** 32 - 1),
-       target=st.sampled_from([None, 0.0, 0.1, 0.5, 0.9, 1 - 1e-13, 1.0,
-                               1 + 1e-13, 3.0]))
-def test_norm_scale_is_max_of_op_norm_and_one_bitwise(r, c, parts, seed, target):
-    """The Schur-test shortcut never changes the scale: equal bit for bit to
-    max(op_norm(T), 1.0), also with ||T|| within 1e-13 of 1 either side
-    (``target`` rescales T to that norm; None keeps the raw draw)."""
-    e = np.zeros((r, c, 4))
-    e[..., :parts] = np.random.default_rng(seed).standard_normal((r, c, parts))
-    raw = op_norm(QMatrix(e))
-    if target is not None and raw > 0.0:
-        e *= target / raw
-    T = QMatrix(e)
-    assert norm_scale(T).hex() == max(op_norm(T), 1.0).hex()
-
-
-def test_norm_scale_skips_op_norm_when_the_schur_bound_is_below_one(
-        rng, monkeypatch):
-    import quatcalc.qmatrix as qm
-
-    T = rand_q(rng, (6, 6))
-    small = T * (0.9 / _schur_bound(T))
-    monkeypatch.setattr(qm, "op_norm", _refuse)
-    assert norm_scale(small) == 1.0
-    with pytest.raises(AssertionError, match="op_norm"):
-        norm_scale(small * 1.2)   # bound 1.08, though ||T|| may be below 1
-
-
-def _schur_bound(T: QMatrix) -> float:
-    moduli = np.linalg.norm(T.entries, axis=2)
-    return float(np.sqrt(moduli.sum(axis=1).max() * moduli.sum(axis=0).max()))
-
-
-def _refuse(T):
-    raise AssertionError("op_norm called")
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("parts", [1, 4], ids=["real", "general"])
-def test_norm_scale_rejects_non_finite_entries(bad, parts):
-    e = np.zeros((3, 4, 4))
-    e[..., :parts] = 1e-3 * np.random.default_rng(5).standard_normal((3, 4, parts))
-    e[1, 2, parts - 1] = bad
-    with pytest.raises(ValueError, match=r"non-finite entry .* at \(1, 2\)"):
-        norm_scale(QMatrix(e))
 
 
 def test_chi_inv_rejects_incompatible_matrix():

@@ -26,6 +26,18 @@ def rng():
     return np.random.default_rng(7)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("parts", [1, 4], ids=["real", "general"])
+def test_spectrum_rejects_non_finite_entries(bad, parts):
+    """The tolerance scale ||T|| comes first and names the entry, before
+    any eigensolver sees it."""
+    e = np.zeros((4, 4, 4))
+    e[..., :parts] = 1e-3 * np.random.default_rng(5).standard_normal((4, 4, parts))
+    e[1, 2, parts - 1] = bad
+    with pytest.raises(ValueError, match=r"non-finite entry .* at \(1, 2\)"):
+        spherical_spectrum(QMatrix(e))
+
+
 def test_delta_depends_only_on_sphere():
     T = QMatrix(np.random.default_rng(0).standard_normal((3, 3, 4)))
     q1 = Quaternion(1.0, 2.0, 0.0, 0.0)
