@@ -43,8 +43,8 @@ _RIESZ_TOLS = ("riesz-step", "riesz-restricted")
 # and pays an O(n^3) eigensolve, and each doubling of n quadruples both
 SWEEP_MAX_N = 4096
 
-# largest --n: paper_example(which, n) peaks near 208 n^2 bytes (traced
-# at n = 192, 768), 468 MiB at n = 1536; --full's report about triples it
+# largest --n: paper_example(which, n) peaks near 128 n^2 bytes (traced
+# at n = 192, 768), 288 MiB at n = 1536; with --full near 550 n^2 bytes
 EXAMPLES_MAX_N = 1536
 
 

@@ -60,8 +60,10 @@ def grid_points(n: int) -> np.ndarray:
     return (np.arange(n) + 0.5) / n
 
 
-def _assemble(values: np.ndarray, coeff: Quaternion | float = 1.0) -> QMatrix:
-    """The matrix with entries values[r, c] * coeff for a real table values.
+def _assemble(values: np.ndarray, coeff: Quaternion | float = 1.0,
+              real_diag: np.ndarray | float = 0.0) -> QMatrix:
+    """The matrix with entries values[r, c] * coeff for a real square table
+    values, plus real_diag on the real parts of its diagonal.
 
     The (rows, cols, 4) entries are written once, into the array the
     ``QMatrix`` adopts: no temporary of that size is made.
@@ -71,6 +73,7 @@ def _assemble(values: np.ndarray, coeff: Quaternion | float = 1.0) -> QMatrix:
                       out=np.empty((*values.shape, 4)))
     if np.signbit(c).any():
         ent += 0.0  # a zero value times a negative part is -0.0; keep +0.0
+    ent[..., 0][np.diag_indices(len(values))] += real_diag
     return QMatrix._adopt(ent)
 
 
@@ -125,18 +128,29 @@ def volterra_norm(n: int) -> float:
 
 @dataclass(frozen=True)
 class ExampleBundle:
-    """A discretized example with its factorization T = (W + K) S."""
+    """A discretized example T = (W + K) S, W = diag(w) and S = diag(s)."""
 
     name: str
     n: int
     T: QMatrix
-    W: QMatrix
     K: QMatrix
-    S: QMatrix
+    w: np.ndarray
+    s: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
+    W = property(lambda self: QMatrix.real_scalar(self.n, self.w))
+    S = property(lambda self: QMatrix.real_scalar(self.n, self.s))
+
+    def _factor_product(self) -> np.ndarray:
+        """(W + K) S's entries: W + K with column c scaled by s_c, bit for bit
+        the dense product, since each of its columns has one nonzero term."""
+        e = self.K.entries.copy()
+        e[..., 0][np.diag_indices(self.n)] += self.w
+        e *= self.s[None, :, None]
+        return e
+
     def factorization_residual(self) -> float:
-        return op_norm(self.T - (self.W + self.K) @ self.S)
+        return op_norm(self.T - QMatrix._adopt(self._factor_product()))
 
     def normality_defect(self) -> float:
         return _normality_defect(self.T)
@@ -154,26 +168,22 @@ def paper_example(which: str, n: int) -> ExampleBundle:
         raise ValueError("grid size must be a positive multiple of 3")
 
     x = grid_points(n)
-    cut = x <= 1.0 / 3.0  # real diagonals, without mult_op's Quaternions
-    W = QMatrix.real_scalar(n, cut.astype(float))
-    S = QMatrix.real_scalar(n, x)
+    w = (x <= 1.0 / 3.0).astype(float)  # W's diagonal; S's diagonal is x
 
     if which == "normal":
         K = _assemble(0.5 * x[:, None] * x, 1.0 / n)
-        T = _assemble(0.5 * x[:, None] * x * x, 1.0 / n)
+        T = _assemble(0.5 * x[:, None] * x * x, 1.0 / n, w * x)
         norm_K_expected = 1.0 / 6.0
         norm_K_bound = 1.0 / 3.0
     else:
         half_j = Quaternion(0.0, 0.0, 0.5, 0.0)
         K = volterra_op(n, half_j)
         # (j/2) Int_0^x y g(y) dy with the same half-diagonal convention
-        T = _assemble(_volterra_weights(n) * x, half_j)
+        T = _assemble(_volterra_weights(n) * x, half_j, w * x)
         norm_K_expected = 1.0 / math.pi
         norm_K_bound = 0.5
-    # add W S = diag(1[x <= 1/3] x); rebinding frees the kernel part early
-    T = QMatrix.real_scalar(n, np.where(cut, x, 0.0)) + T
 
-    bundle = ExampleBundle(which, n, T, W, K, S)
+    bundle = ExampleBundle(which, n, T, K, w, x)
     return replace(bundle, diagnostics={
         "norm_T": op_norm(T),
         "norm_K": op_norm(K),

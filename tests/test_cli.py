@@ -305,6 +305,22 @@ def test_examples_report(tmp_path):
     assert abs(diag["norm_K"] - 1.0 / np.pi) < 1e-2
 
 
+@pytest.mark.parametrize("which", ["normal", "nonnormal"])
+def test_examples_report_takes_no_quaternion_product(which, tmp_path,
+                                                     monkeypatch):
+    """The factorization check scales columns by S's diagonal: an
+    examples report makes no dense QMatrix product."""
+    def refuse(self, other):
+        raise AssertionError("QMatrix.__matmul__ called")
+
+    monkeypatch.setattr(QMatrix, "__matmul__", refuse)
+    out = tmp_path / "ex.json"
+    assert main(["examples", "--which", which, "--n", "96",
+                 "--output", str(out)]) == 0
+    diag = json.loads(out.read_text())["diagnostics"]
+    assert diag["factorization_residual"] <= 1e-14 * diag["norm_T"]
+
+
 def test_examples_bad_n(tmp_path):
     assert main(["examples", "--which", "normal", "--n", "100"]) == 2
 

@@ -182,6 +182,30 @@ def test_paper_example_bytes_are_unchanged(which, n):
     assert got == _EXAMPLE_BYTES[which, n]
 
 
+@pytest.mark.parametrize("n", [3, 12, 96, 192])
+@pytest.mark.parametrize("which", ["normal", "nonnormal"])
+def test_column_scaled_factor_product_is_the_dense_product_bitwise(which, n):
+    """(W + K) S by column scaling equals the quaternion product of the
+    dense factors byte for byte, signed zeros included, and so does the
+    residual taken from it."""
+    b = paper_example(which, n)
+    product = (b.W + b.K) @ b.S
+    assert b._factor_product().tobytes() == product.entries.tobytes()
+    assert (b.factorization_residual().hex()
+            == op_norm(b.T - product).hex())
+
+
+@pytest.mark.parametrize("which", ["normal", "nonnormal"])
+def test_paper_example_peak_memory_holds_no_dense_factors(which, traced_peak):
+    """Building an example and its diagnostics peaks at 128 n^2 bytes
+    (traced by tracemalloc), within 136 n^2: W and S stay diagonals, so
+    T and K are held with one work space of 64 n^2, the factorization
+    check's product and residual or the normality defect's matrices."""
+    paper_example(which, 6)   # first calls load lazy numpy modules
+    n = 192
+    assert traced_peak(lambda: paper_example(which, n)) <= 136 * n * n
+
+
 @pytest.mark.parametrize("n", [12, 96, 192])
 def test_normal_example_defect_matches_closed_form(n):
     """The spectral radius of ZZ* - Z*Z on the real slice matrix agrees
