@@ -12,6 +12,7 @@ and are byte-identical for a fixed seed and configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -293,6 +294,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report["passed"] else EXIT_INVARIANT
 
 
+@functools.cache  # built on first use; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="quatcalc",

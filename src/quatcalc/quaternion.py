@@ -243,45 +243,62 @@ def circularize(points, tol: float = 1e-9) -> tuple[list[Sphere], np.ndarray]:
     Points are visited in (re, |im|) order and a point opens a new sphere
     unless it lies within ``tol`` >= 0 of a kept one, so the spheres come
     back sorted.  ``labels[k]`` is the index of the sphere nearest point k.
+    A non-finite point raises ``ValueError``.
 
-    The scan skips a point equal to the one before it (a conjugate pair
-    folds to one point), whose verdict is that point's.  It measures a
-    point's distance only to the kept spheres whose re is within 2 tol of
-    its own and, when more than ``_CIRCULARIZE_SCAN`` of them are, only to
-    those whose rad is too: every other one is farther than tol.
+    Equal points fold to one (a conjugate pair is one point).  A point is
+    crowded when another lies within ``tol`` of it in re and in rad, as
+    every point within distance ``tol`` does: in its run of one re, a
+    neighbour in rad; across runs, one in the window [re - 2 tol, re).  An
+    uncrowded point opens its own sphere, its nearest.  Crowded points are
+    scanned in order against the crowded kept spheres in their window (above
+    ``_CIRCULARIZE_SCAN``, only those within 2 tol in rad), and only merged
+    points are measured against every sphere.
     """
     if not tol >= 0.0:
         raise ValueError(f"tol must be >= 0, got {tol!r}")
     pts = np.fromiter(points, dtype=complex)
-    re, rad = pts.real, np.abs(pts.imag)
-    order = np.lexsort((rad, re))
-    spheres: list[Sphere] = []
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
+    if not pts.size:
+        return [], np.zeros(0, dtype=np.intp)
+    order = np.lexsort((np.abs(pts.imag), pts.real))
+    sre, srad = pts.real[order], np.abs(pts.imag[order])
+    first = np.r_[True, (sre[1:] != sre[:-1]) | (srad[1:] != srad[:-1])]
+    ure, urad = sre[first], srad[first]
+    gap = np.r_[False, (np.diff(ure) == 0.0) & (np.diff(urad) <= tol), False]
+    crowded = gap[:-1] | gap[1:]
+    low, j = np.searchsorted(ure, [ure - 2.0 * tol, ure])
+    i = np.arange(ure.size)
+    while i.size:  # each i's window [low, start of its run), one j at a time
+        i, j = i[j > low[i]], j[j > low[i]] - 1
+        near = (ure[i] - ure[j] <= tol) & (np.abs(urad[i] - urad[j]) <= tol)
+        crowded[i[near]] = crowded[j[near]] = True
+    keep, leaders = ~crowded, []
     # nondecreasing kept_re: points arrive sorted by re
-    kept_re, kept_rad = np.empty(pts.size), np.empty(pts.size)
-    last = None
-    for r, m in zip(re[order].tolist(), rad[order].tolist()):
-        if (r, m) == last:
-            continue
-        last = (r, m)
-        k = len(spheres)
+    kept_re, kept_rad = np.empty(ure.size), np.empty(ure.size)
+    for c, r, m in zip(np.flatnonzero(crowded).tolist(),
+                       ure[crowded].tolist(), urad[crowded].tolist()):
+        k = len(leaders)
         # a kept sphere within tol has re >= r - tol; the window is taken at
         # 2 tol so that rounding in r - tol cannot leave such a sphere out
         lo = int(np.searchsorted(kept_re[:k], r - 2.0 * tol))
         near = range(k - 1, lo - 1, -1)
         if k - lo > _CIRCULARIZE_SCAN:  # many spheres share this re
-            # "not > 2 tol" keeps a nan rad in, to be measured as before
             near = (lo + np.flatnonzero(
-                ~(np.abs(kept_rad[lo:k] - m) > 2.0 * tol))).tolist()
+                np.abs(kept_rad[lo:k] - m) <= 2.0 * tol)).tolist()
         cand = Sphere(r, m)
-        if all(cand.distance(spheres[i]) > tol for i in near):
+        if all(cand.distance(leaders[i]) > tol for i in near):
             kept_re[k], kept_rad[k] = r, m
-            spheres.append(cand)
-    if not spheres:
-        return spheres, np.zeros(0, dtype=np.intp)
-    centers = np.array([complex(s.re, s.rad) for s in spheres])
-    folded = re + 1j * rad
+            leaders.append(cand)
+            keep[c] = True
+    spheres = list(map(Sphere, ure[keep].tolist(), urad[keep].tolist()))
+    sphere = np.cumsum(keep) - 1  # of each folded point
+    folded = ure + 1j * urad
+    centers, merged = folded[keep], np.flatnonzero(~keep)
     rows = max(1, _CIRCULARIZE_BLOCK // centers.size)
-    labels = np.concatenate([
-        np.abs(folded[lo:lo + rows, None] - centers).argmin(axis=1)
-        for lo in range(0, pts.size, rows)])
+    for lo in range(0, merged.size, rows):
+        block = merged[lo:lo + rows]
+        sphere[block] = np.abs(folded[block, None] - centers).argmin(axis=1)
+    labels = np.empty_like(order)
+    labels[order] = sphere[np.cumsum(first) - 1]
     return spheres, labels

@@ -328,14 +328,16 @@ def _quadrature(f, T: QMatrix, contour: Contour,
     By the row-block identity node k's term is -(chi(q_k) (x) I_n)
     [top rows of R_k; bottom rows of R_partner(k)], R_k = (chi T' - z_k)^-1,
     q = f'(z) w.  The sum lies in the image of chi, so only its top n rows
-    are kept.  Lead nodes (k <= partner[k]) take one LU inverse each, in
-    node order; their partners' R is its block mirror.  The proximity guard
-    is ``_trace_distances``; the round-off sentinel ``_mirror_defect`` runs
-    at the lead node nearest the spectrum (``SeparationError``).  A circle
-    enclosing spheres of total multiplicity k > N takes k nodes, rounded up
-    to a multiple of 16, so that no enclosed pole aliases.  Before any
-    inverse is taken, f's samples on each circle are checked for regularity
-    on its disc (``RegularityError`` above 1e-10 of their largest value).
+    are kept.  Lead nodes (k <= partner[k]) take one LU inverse each, in node
+    order, of a work copy of chi T' with z_k off its diagonal; their
+    partners' R is its block mirror, and c terms enter only when f' has a B
+    part.  The proximity guard is ``_trace_distances``; the round-off
+    sentinel ``_mirror_defect`` runs at the lead node nearest the spectrum
+    (``SeparationError``).  A circle enclosing spheres of total multiplicity
+    k > N takes k nodes, rounded up to a multiple of 16, so that no enclosed
+    pole aliases.  Before any inverse is taken, f's samples on each circle
+    are checked for regularity on its disc (``RegularityError`` above 1e-10
+    of their largest value).
     """
     spec = spherical_spectrum(T) if spectrum is None else spectrum
     given = contour.nodes_per_circle
@@ -381,13 +383,15 @@ def _quadrature(f, T: QMatrix, contour: Contour,
     lead = np.flatnonzero(np.arange(z.size) <= partner)
     twin = partner != np.arange(z.size)
     ma, mc = twin * a[partner].conj(), twin * c[partner].conj()
-    eye = np.eye(2 * n)
+    mixed = b.any()  # False for f = 1 and a C_i-valued f in C_i
     sentinel = lead[np.argmin(dist[lead])]
     top, W = np.zeros((2, n, 2 * n), dtype=complex)
+    work, diag = Tc.copy(), Tc.diagonal()
     for k in lead:
-        R = np.linalg.inv(Tc - z[k] * eye)
-        top += a[k] * R[:n] + c[k] * R[n:]
-        W += ma[k] * R[n:] - mc[k] * R[:n]
+        work.flat[::2 * n + 1] = diag - z[k]
+        R = np.linalg.inv(work)
+        top += a[k] * R[:n] + c[k] * R[n:] if mixed else a[k] * R[:n]
+        W += ma[k] * R[n:] - mc[k] * R[:n] if mixed else ma[k] * R[n:]
         if k == sentinel:
             R_s = R
     top = -top - np.hstack([W[:, n:], -W[:, :n]]).conj()

@@ -111,6 +111,8 @@ def spherical_spectrum(T: QMatrix) -> SphericalSpectrum:
         raise ValueError("spectrum requires a square matrix")
     tol = 1e-9 * op_norm(T)  # a non-finite entry raises ValueError here
     eigs = _chi_eigenvalues(T)
+    if not np.isfinite(eigs).all():  # T is finite: they overflowed
+        raise OverflowError("the eigenvalues of chi(T) overflow")
     spheres, home = circularize(eigs, tol)
     count = np.bincount(home, minlength=len(spheres))
     lean = np.bincount(home, weights=np.sign(eigs.imag),

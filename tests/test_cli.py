@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import io
@@ -166,6 +167,21 @@ def test_overflowing_products_of_a_finite_input_exit_4(overflowing, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"numerical error: {stage}\n"
+
+
+def test_spectrum_whose_eigenvalues_overflow_exits_4(tmp_path, capsys):
+    """A finite input with an eigenvalue past the largest float (2e308 for
+    the all-1e308 2 x 2 matrix) is a numerical refusal that names the
+    eigensolve, not a non-finite point handed to the sphere clustering."""
+    e = np.zeros((2, 2, 4))
+    e[..., 0] = 1e308
+    p = tmp_path / "T.json"
+    _write_matrix(p, QMatrix(e))
+    assert main(["spectrum", "--input", str(p)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("numerical error: the eigenvalues of chi(T) "
+                            "overflow\n")
 
 
 def test_riesz_past_the_square_root_of_the_largest_float_reaches_its_gates(
@@ -477,6 +493,52 @@ def test_python_dash_m_runs_the_cli():
         env=_src_env(), capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["passed"]
+
+
+def test_one_process_builds_the_parser_once(diag_ij3, tmp_path, monkeypatch):
+    """spectrum, riesz, examples and verify in one process share one
+    parser, and the examples report it writes after the others equals a
+    fresh ``python -m quatcalc`` process's, byte for byte."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    example = ["examples", "--which", "nonnormal", "--n", "48", "--output"]
+    for argv in (["spectrum", "--input", str(diag_ij3), "--output"],
+                 ["riesz", "--input", str(diag_ij3), "--partition", "0,1",
+                  "--output"],
+                 example,
+                 ["verify", "--suites", "discretize", "--output"]):
+        assert main(argv + [str(tmp_path / f"{argv[0]}.json")]) == 0
+    assert built.count("quatcalc") == 1
+    out = tmp_path / "fresh.json"
+    done = subprocess.run([sys.executable, "-m", "quatcalc"] + example
+                          + [str(out)], env=_src_env(), capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert out.read_bytes() == (tmp_path / "examples.json").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["riesz", "--help"]],
+                         ids=["quatcalc", "riesz"])
+def test_help_of_a_used_parser_is_a_fresh_process_help(argv, capsys,
+                                                        monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(["examples", "--sweep", "8:16"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    done = subprocess.run([sys.executable, "-m", "quatcalc"] + argv,
+                          env={**_src_env(), "COLUMNS": "80"},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert capsys.readouterr().out == done.stdout
 
 
 def test_closed_stdout_exits_0(monkeypatch):

@@ -10,11 +10,15 @@ from hypothesis import assume, given, settings, strategies as st
 
 from quatcalc.quaternion import (
     UNIT_I,
+    UNIT_J,
     ImaginaryUnit,
     Quaternion,
     Sphere,
+    _slice_rotor,
+    qconj,
+    qmul,
 )
-from quatcalc.qmatrix import QMatrix, chi, chi_inv, op_norm
+from quatcalc.qmatrix import QMatrix, _pair, _unpair, chi, chi_inv, op_norm
 from quatcalc import scalculus
 from quatcalc.discretize import paper_example
 from quatcalc.scalculus import (
@@ -260,6 +264,61 @@ def _dense_quadrature(f, side, T, contour):
         else:
             acc -= chi(QMatrix.diag([f(s) * w] * n)) @ shift @ Dinv
     return chi_inv(acc, tol=1e-6)
+
+
+def _per_node_inverse_quadrature(f, T, contour):
+    """Reference: the quadrature's sum with chi T' - z_k I formed anew for
+    each lead node's inverse and every c term summed.  Returns the sum and
+    whether f' has a B part."""
+    z, w, partner = contour.slice_nodes()
+    u = _slice_rotor(contour.m)
+    ubar = qconj(u)
+    fs = []
+    for zk in z:
+        v = f(scalculus._in_slice(zk, contour.m))
+        if not isinstance(v, Quaternion):
+            v = Quaternion.from_complex(complex(v))
+        fs.append(v.to_array())
+    fa, fb = _pair(qmul(qmul(ubar, np.array(fs)), u))
+    a, b = fa * w, fb * w.conj()
+    n = T.rows
+    Tc = chi(QMatrix._adopt(qmul(qmul(ubar, T.entries), u)))
+    c = b[partner]
+    lead = np.flatnonzero(np.arange(z.size) <= partner)
+    twin = partner != np.arange(z.size)
+    ma, mc = twin * a[partner].conj(), twin * c[partner].conj()
+    eye = np.eye(2 * n)
+    top, W = np.zeros((2, n, 2 * n), dtype=complex)
+    for k in lead:
+        R = np.linalg.inv(Tc - z[k] * eye)
+        top += a[k] * R[:n] + c[k] * R[n:]
+        W += ma[k] * R[n:] - mc[k] * R[:n]
+    top = -top - np.hstack([W[:, n:], -W[:, :n]]).conj()
+    X = qmul(qmul(u, _unpair(top[:, :n], top[:, n:])), ubar)
+    return QMatrix._adopt(X), bool(b.any())
+
+
+@pytest.mark.parametrize("m, mixed", [
+    (UNIT_I, False), (UNIT_J, False),
+    # rounding in the turn onto C_i gives q^2 a B part of order 1e-16
+    (ImaginaryUnit.normalized(0.3, -0.5, 0.8), True)],
+    ids=["C_i", "C_j", "tilted"])
+def test_quadrature_sum_is_the_per_node_inverse_sum(rng, m, mixed):
+    """One work copy of chi T' per call and the c terms only where f' has
+    a B part give the per-node sums exactly: P on a split and q^2 on the
+    whole spectrum, on either path."""
+    T = _nonnormal(rng)
+    spec = spherical_spectrum(T)
+    split = build_contour(spec.spheres[:1], spec.spheres[1:], m=m)
+    P, b_part = _per_node_inverse_quadrature(lambda q: 1.0, T, split)
+    assert not b_part
+    assert np.array_equal(riesz_projection(T, split, spec).entries, P.entries)
+    whole = build_contour(spec.spheres, m=m)
+    F, b_part = _per_node_inverse_quadrature(lambda q: q * q, T, whole)
+    assert b_part == mixed
+    assert np.array_equal(
+        func_calc(lambda q: q * q, "right", T, whole, spec).entries,
+        F.entries)
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
