@@ -22,7 +22,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from .quaternion import Sphere
-from .qmatrix import QMatrix, _normality_defect, op_norm
+from .qmatrix import QMatrix, _is_normal, op_norm
 from .spectrum import (SpectrumProximityError, _delta_min_sv,
                        spherical_spectrum)
 from .scalculus import riesz_decompose, SeparationError, PartitionError
@@ -45,7 +45,8 @@ _RIESZ_TOLS = ("riesz-step", "riesz-restricted")
 SWEEP_MAX_N = 4096
 
 # largest --n: paper_example(which, n) peaks near 128 n^2 bytes (traced
-# at n = 192, 768), 288 MiB at n = 1536; with --full near 550 n^2 bytes
+# at n = 192, 768), 288 MiB at n = 1536; with --full near 320 n^2 bytes
+# (traced at n = 384, 768), 720 MiB at n = 1536
 EXAMPLES_MAX_N = 1536
 
 
@@ -92,71 +93,8 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.flush()  # a closed pipe raises here, not at shutdown
 
 
-def _json_key(key) -> str:
-    if isinstance(key, str):
-        return key
-    if key is None or isinstance(key, (int, float)):
-        return json.dumps(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {key.__class__.__name__}")
-
-
-def _write_json(o, level: int, out: list) -> None:
-    """Append the text of o, nested ``level`` deep, to ``out``.
-
-    Containers are written here, and every other value and key by
-    ``json.dumps``, which raises json's ``TypeError`` for a value it cannot
-    write.  A list of finite floats is joined from ``float.__repr__`` in
-    one call; json writes nan and inf as NaN and Infinity, and their reprs
-    hold the only "n" a float's repr can have.
-    """
-    if isinstance(o, (list, tuple)):
-        if not o:
-            out.append("[]")
-            return
-        inner = "\n" + "  " * (level + 1)
-        try:
-            text = ("," + inner).join(map(float.__repr__, o))
-        except TypeError:  # not all floats
-            text = "n"
-        if "n" not in text:
-            out.append("[" + inner + text + "\n" + "  " * level + "]")
-            return
-        out.append("[")
-        for k, value in enumerate(o):
-            out.append("," + inner if k else inner)
-            _write_json(value, level + 1, out)
-        out.append("\n" + "  " * level + "]")
-    elif isinstance(o, dict):
-        if not o:
-            out.append("{}")
-            return
-        inner = "\n" + "  " * (level + 1)
-        out.append("{")
-        for k, (key, value) in enumerate(sorted(o.items())):
-            out.append(("," if k else "") + inner
-                       + json.dumps(_json_key(key)) + ": ")
-            _write_json(value, level + 1, out)
-        out.append("\n" + "  " * level + "}")
-    else:
-        out.append(json.dumps(o))
-
-
-def _dumps(report) -> str:
-    """``json.dumps(report, indent=2, sort_keys=True)``, byte for byte.
-
-    json's C encoder ignores ``indent``, so json writes indented text with
-    its Python encoder; this writer makes the same text faster.  A cyclic
-    value, which no report is, raises ``RecursionError`` instead of json's
-    ``ValueError``.
-    """
-    out: list[str] = []
-    _write_json(report, 0, out)
-    return "".join(out)
-
-
 def _dump(report: dict, output: str | None) -> None:
-    _emit(_dumps(report), output)
+    _emit(json.dumps(report, sort_keys=True), output)
 
 
 def _parse_partition(spec: str) -> list[Sphere]:
@@ -214,12 +152,12 @@ def cmd_riesz(args) -> int:
     tols.update(_tol_overrides(args))
     pair = riesz_decompose(T, sigma)
     step_keys = ["idempotent_sigma", "commute_sigma"]
-    # self-adjointness of the projection is an invariant for normal T only;
+    # self-adjointness of the projection is an invariant for normal T only
+    if _is_normal(T):
+        step_keys.append("self_adjoint_sigma")
     # the restricted spectra are gated relative to ||T|| (> 0: T = 0 has
     # one sphere, which no partition splits)
     scale = op_norm(T)
-    if _normality_defect(T) / scale <= 1e-10 * scale:  # no scale ** 2 overflow
-        step_keys.append("self_adjoint_sigma")
     ok = (max(pair.residuals[k] for k in step_keys) <= tols["riesz-step"]
           and max(pair.residuals["spectrum_sigma_hausdorff"],
                   pair.residuals["spectrum_tau_hausdorff"]) / scale

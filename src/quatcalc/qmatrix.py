@@ -527,6 +527,14 @@ def _normality_defect(T: QMatrix) -> float:
     return defect
 
 
+def _is_normal(T: QMatrix) -> bool:
+    """||TT* - T*T|| <= 1e-10 ||T||^2, the one normality test of the
+    package (T = 0 is normal)."""
+    scale = max(op_norm(T), 1e-300)
+    # divided by ||T|| once: a finite scale ** 2 can overflow
+    return _normality_defect(T) / scale <= 1e-10 * scale
+
+
 def positive_sqrt(T: QMatrix) -> QMatrix:
     """Unique positive square root of a positive operator.
 
@@ -620,15 +628,14 @@ def normal_eigensystem(T: QMatrix) -> tuple[np.ndarray, QMatrix]:
     Returns ``(lam, U)`` where ``lam`` is a complex array of eigenvalues in
     the closed upper half plane of C_i and the columns of the unitary U are
     quaternionic eigenvectors: T u_l = u_l * lam_l.  T is normal when
-    ||TT* - T*T|| <= 1e-9 ||T||^2, a test that scales with T at every size.
+    ||TT* - T*T|| <= 1e-10 ||T||^2, a test that scales with T at every size.
     """
     if not T.is_square:
         raise ValueError("eigensystem requires a square matrix")
     n = T.rows
-    scale = max(op_norm(T), 1e-300)
-    defect = _normality_defect(T)
-    if defect / scale > 1e-10 * scale * 10:  # scale ** 2 overflows first
-        raise ValueError(f"matrix is not normal (defect {defect:.3e})")
+    if not _is_normal(T):
+        raise ValueError("matrix is not normal: ||TT* - T*T|| > "
+                         "1e-10 ||T||^2")
     N = chi(T)
     # numpy has no Schur form; the only scipy.linalg call in the package,
     # imported here so that no hot path loads a second BLAS library

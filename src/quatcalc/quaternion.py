@@ -246,11 +246,11 @@ def circularize(points, tol: float = 1e-9) -> tuple[list[Sphere], np.ndarray]:
     A non-finite point raises ``ValueError``.
 
     Equal points fold to one (a conjugate pair is one point).  A point is
-    crowded when another lies within ``tol`` of it in re and in rad, as
-    every point within distance ``tol`` does: in its run of one re, a
-    neighbour in rad; across runs, one in the window [re - 2 tol, re).  An
-    uncrowded point opens its own sphere, its nearest.  Crowded points are
-    scanned in order against the crowded kept spheres in their window (above
+    crowded when a neighbour in rad in its run of one re lies within ``tol``,
+    or when the next run on either side lies within 2 tol in re; so is every
+    point with another within distance ``tol``.  An uncrowded point opens
+    its own sphere, its nearest.  Crowded points are scanned in order
+    against the crowded kept spheres in their window (above
     ``_CIRCULARIZE_SCAN``, only those within 2 tol in rad), and only merged
     points are measured against every sphere.
     """
@@ -265,14 +265,12 @@ def circularize(points, tol: float = 1e-9) -> tuple[list[Sphere], np.ndarray]:
     sre, srad = pts.real[order], np.abs(pts.imag[order])
     first = np.r_[True, (sre[1:] != sre[:-1]) | (srad[1:] != srad[:-1])]
     ure, urad = sre[first], srad[first]
-    gap = np.r_[False, (np.diff(ure) == 0.0) & (np.diff(urad) <= tol), False]
+    step = np.diff(ure)
+    gap = np.r_[False, (step == 0.0) & (np.diff(urad) <= tol), False]
     crowded = gap[:-1] | gap[1:]
-    low, j = np.searchsorted(ure, [ure - 2.0 * tol, ure])
-    i = np.arange(ure.size)
-    while i.size:  # each i's window [low, start of its run), one j at a time
-        i, j = i[j > low[i]], j[j > low[i]] - 1
-        near = (ure[i] - ure[j] <= tol) & (np.abs(urad[i] - urad[j]) <= tol)
-        crowded[i[near]] = crowded[j[near]] = True
+    start = np.r_[True, step != 0.0]  # of each run of one re
+    gap = np.r_[False, np.diff(ure[start]) <= 2.0 * tol, False]
+    crowded |= (gap[:-1] | gap[1:])[np.cumsum(start) - 1]
     keep, leaders = ~crowded, []
     # nondecreasing kept_re: points arrive sorted by re
     kept_re, kept_rad = np.empty(ure.size), np.empty(ure.size)

@@ -10,7 +10,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from quatcalc import cli
 from quatcalc import qmatrix as qm
@@ -605,49 +604,41 @@ def test_riesz_round_off_refusal_is_a_separation_error(k, tmp_path, capsys):
         "separation error: quadrature round-off check: defect ")
 
 
-# report-shaped values: what the writer must reproduce byte for byte
-_json_scalars = (
-    st.none() | st.booleans()
-    | st.integers(-2 ** 70, 2 ** 70)
-    | st.floats(allow_nan=True, allow_infinity=True)
-    | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0,
-                       5e-324, 1e308])
-    | st.floats(allow_nan=True, allow_infinity=True).map(np.float64)
-    | st.text(st.characters(codec="utf-8"), max_size=8))
-# one key type per dict, so that sorting the keys cannot raise
-_json_keys = st.sampled_from([
-    st.text(st.characters(codec="utf-8"), max_size=6),
-    st.integers(-2 ** 70, 2 ** 70),
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.booleans(),
-    st.none(),
-])
-_json_values = st.recursive(
-    _json_scalars,
-    lambda inner: (st.lists(inner, max_size=5)
-                   | st.lists(inner, max_size=5).map(tuple)
-                   | st.lists(st.floats(), max_size=5)
-                   | _json_keys.flatmap(
-                       lambda keys: st.dictionaries(keys, inner, max_size=5))),
-    max_leaves=30)
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--input", "{T}"],
+    ["riesz", "--input", "{T}", "--partition", "0,1"],
+    ["examples", "--which", "nonnormal", "--n", "12", "--full"],
+    ["verify", "--suites", "polar"],
+], ids=["spectrum", "riesz", "examples", "verify"])
+def test_report_is_one_line_of_json_with_sorted_keys(argv, diag_ij3,
+                                                     tmp_path):
+    out = tmp_path / "report.json"
+    argv = [a.format(T=diag_ij3) for a in argv]
+    assert main(argv + ["--output", str(out)]) == 0
+    text = out.read_text()
+    assert "\n" not in text
+    assert text == json.dumps(json.loads(text), sort_keys=True)
 
 
-@settings(max_examples=300, deadline=None)
-@given(obj=_json_values)
-def test_report_writer_matches_json_dumps(obj):
-    assert cli._dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
-
-
-@pytest.mark.parametrize("obj", [
-    {1, 2}, {"a": [1.0, {2.0}]}, [np.array([1.0])], (1.0, 2j),
-    {(1, 2): 3}, {1: 2, "a": 3},
-])
-def test_report_writer_raises_where_json_dumps_does(obj):
-    with pytest.raises(TypeError) as ref:
-        json.dumps(obj, indent=2, sort_keys=True)
-    with pytest.raises(TypeError) as got:
-        cli._dumps(obj)
-    assert str(got.value) == str(ref.value)
+def test_normality_is_one_test_at_1e_10(tmp_path):
+    """A normal T perturbed to ||TT* - T*T|| = 5.6e-10 ||T||^2 is refused by
+    both decompositions, and ``riesz`` does not gate the projection's
+    self-adjointness on it."""
+    e = QMatrix.diag([Quaternion(1, 0, 0, 0), Quaternion(0, 0, 2, 0),
+                      Quaternion(-2, 0, 0, 0)]).entries.copy()
+    e[0, 1] = (1e-9, 0.0, 0.0, 0.0)
+    T = QMatrix(e)
+    assert 2e-10 < qm._normality_defect(T) / op_norm(T) ** 2 < 9e-10
+    for decompose in (qm.normal_eigensystem, qm.cartesian):
+        with pytest.raises(ValueError, match="not normal"):
+            decompose(T)
+    p, out = tmp_path / "T.json", tmp_path / "r.json"
+    _write_matrix(p, T)
+    assert main(["riesz", "--input", str(p), "--partition", "1,0",
+                 "--output", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["residuals"]["self_adjoint_sigma"] \
+        > report["tolerances"]["riesz-step"]
 
 
 def test_riesz_request_computes_the_norm_of_T_once(tmp_path, monkeypatch):

@@ -176,6 +176,14 @@ def _many_spheres_at_one_re(n=384):
     return np.concatenate([d, d.conj()])
 
 
+def _jittered_clusters(rng):
+    """A chi spectrum like a riesz split's: 96 points on 3 spheres, 16
+    eigenvalues and their 16 conjugates each, jittered by about 1e-15."""
+    c = np.repeat([-1 + 0.5j, 0.25 + 2j, 3 + 0j], 16)
+    z = np.concatenate([c, c.conj()])
+    return z + 1e-15 * (rng.standard_normal(96) + 1j * rng.standard_normal(96))
+
+
 def _circularize_cases():
     rng = np.random.default_rng(12)
     z = rng.standard_normal(60) + 1j * rng.standard_normal(60)
@@ -203,6 +211,11 @@ def _circularize_cases():
         # a pair at exactly tol is merged
         "ladder spaced at exactly tol": (np.concatenate(
             [0.25 * np.arange(12), 5.0 + 0.25j * np.arange(12)]), 0.25),
+        "three jittered clusters": (_jittered_clusters(rng), 1e-9),
+        # runs of distinct re, 0.75 tol apart, with rad 1 apart: each
+        # point opens its own sphere
+        "runs within 2 tol, rad far apart": (
+            0.75e-9 * np.arange(10) + 1j * np.arange(10), 1e-9),
     }
 
 
